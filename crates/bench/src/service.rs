@@ -4,7 +4,7 @@
 //!
 //! Four records share the machinery: the clean batch over every
 //! experiment workload, a demonstration batch with an injected
-//! optimizer panic showing the degraded path ([`service_fault_record`]),
+//! pipeline panic showing the degraded path ([`service_fault_record`]),
 //! a guarded batch under a seeded fault storm ([`guard_record`]), and a
 //! guaranteed oracle miscompile ([`guard_miscompile_record`]).  All are
 //! schema-pinned by `tests/golden_json.rs`.
@@ -12,8 +12,8 @@
 use std::path::PathBuf;
 
 use s1lisp_driver::{
-    BackendSelect, BatchResult, CompileService, FaultInjection, FaultMode, FaultPlan, FaultSite,
-    OracleCase, ServiceConfig, SourceUnit,
+    BackendSelect, BatchResult, CompileService, FaultPlan, FaultSite, OracleCase, ServiceConfig,
+    SourceUnit,
 };
 use s1lisp_trace::json::Json;
 
@@ -80,16 +80,17 @@ pub fn service_record_for(jobs: usize, cache_dir: Option<PathBuf>, backend: Back
 }
 
 /// A demonstration record with a panic injected into one function's
-/// optimization, exercising the incident/degradation surface: the batch
-/// completes, `quadratic` comes back degraded, and every other function
-/// is untouched.
+/// pipeline (a fault plan aimed at it), exercising the
+/// incident/degradation surface: the batch completes, `quadratic` comes
+/// back degraded, and every other function is untouched.
 pub fn service_fault_record() -> Json {
     let cfg = ServiceConfig {
         jobs: 4,
-        fault: Some(FaultInjection {
-            function: "quadratic".to_string(),
-            mode: FaultMode::Panic,
-        }),
+        fault_plan: Some(
+            FaultPlan::new(0)
+                .arm(FaultSite::PhasePanic, 1000)
+                .only_for("quadratic"),
+        ),
         ..ServiceConfig::default()
     };
     let batch = CompileService::new(cfg).compile_batch(&service_units());
@@ -187,11 +188,8 @@ pub fn service_report(jobs: usize, cache_dir: Option<PathBuf>) -> String {
     let s = &batch.stats;
     let _ = writeln!(
         out,
-        "workers={} schedule={} functions={} queue_peak={}",
-        s.workers_used,
-        s.schedule.as_str(),
-        s.functions,
-        s.queue_peak
+        "workers={} functions={} queue_peak={}",
+        s.workers_used, s.functions, s.queue_peak
     );
     let _ = writeln!(
         out,
@@ -260,10 +258,9 @@ mod tests {
     }
 
     #[test]
-    fn human_report_surfaces_schedule_and_queue_peak() {
+    fn human_report_surfaces_queue_peak() {
         let text = service_report(2, None);
         let head = text.lines().next().unwrap_or_default();
-        assert!(head.contains("schedule=sorted"), "{head}");
         // The peak is the whole batch (the queue only drains), so the
         // surfaced value must equal the function count on the same line.
         let field = |key: &str| {

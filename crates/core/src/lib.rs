@@ -152,8 +152,7 @@ pub struct Compiler {
     pub fault_plan: Option<FaultPlan>,
     /// Per-pass wall-clock budget: a pipeline pass that runs longer
     /// than this fails the function with [`CompileError::Overrun`]
-    /// naming the pass, instead of one whole-job watchdog guessing.
-    /// `None` (the default) never times out.
+    /// naming the pass.  `None` (the default) never times out.
     pub pass_budget: Option<std::time::Duration>,
     /// Which code-generation backend closes the pipeline (default:
     /// the S-1 backend).  Also salts
@@ -199,6 +198,33 @@ impl Compiler {
             globals: Vec::new(),
             eval_counter: 0,
             trace: None,
+        }
+    }
+
+    /// A compiler configured by a complete option set — the one way a
+    /// [`PipelineOptions`] value (say, a compilation service's) becomes
+    /// a compiler.
+    pub fn with_options(options: PipelineOptions) -> Compiler {
+        let PipelineOptions {
+            backend,
+            opt_options,
+            cse,
+            codegen_options,
+            tension_branches,
+            guard,
+            fault_plan,
+            pass_budget,
+        } = options;
+        Compiler {
+            opt_options,
+            cse,
+            codegen_options,
+            tension_branches,
+            guard,
+            fault_plan,
+            pass_budget,
+            backend,
+            ..Compiler::new()
         }
     }
 

@@ -29,7 +29,7 @@ use s1lisp_codegen::CodegenOptions;
 use s1lisp_opt::{OptOptions, Optimizer, Transcript};
 use s1lisp_reader::pretty;
 use s1lisp_s1sim::Program;
-use s1lisp_trace::fault::FaultPlan;
+use s1lisp_trace::fault::{FaultPlan, FaultSite};
 use s1lisp_trace::TraceSink;
 
 use crate::error::{CompileError, PassOverrun};
@@ -322,11 +322,37 @@ pub struct PipelineOptions {
     pub fault_plan: Option<FaultPlan>,
     /// Per-pass wall-clock budget: a pass that runs longer fails the
     /// unit with [`CompileError::Overrun`].  Checked after each pass
-    /// returns (a soft budget — it cannot interrupt a hung pass, which
-    /// remains the watchdog's job), so the compilation service can
-    /// attribute overruns to a phase without spawning a thread per
-    /// function.
+    /// returns, so the compilation service attributes overruns to a
+    /// phase without spawning a thread per function.  A soft budget
+    /// suffices because every pass terminates: the §7 optimizer stops
+    /// after [`OptOptions::max_rounds`] rounds and the other passes are
+    /// bounded tree walks.
     pub pass_budget: Option<Duration>,
+}
+
+impl PipelineOptions {
+    /// The same options with every source-level transformation off
+    /// ([`OptOptions::none`], CSE off): the degraded retry, a demoted
+    /// tenant, and the differential oracle's reference side.
+    pub fn transformations_off(self) -> PipelineOptions {
+        PipelineOptions {
+            opt_options: OptOptions::none(),
+            cse: false,
+            ..self
+        }
+    }
+
+    /// The same options with the guard validators, the fault plan and
+    /// the pass budget off: a compile that must run clean (the degraded
+    /// retry, the oracles, a tenant's replay).
+    pub fn unguarded(self) -> PipelineOptions {
+        PipelineOptions {
+            guard: false,
+            fault_plan: None,
+            pass_budget: None,
+            ..self
+        }
+    }
 }
 
 // ------------------------------------------------------------- pipeline
@@ -363,6 +389,7 @@ impl Pipeline {
             (
                 Box::new(FaultTripPass {
                     plan: options.fault_plan.clone(),
+                    budget: options.pass_budget,
                 }),
                 options.fault_plan.is_some(),
             ),
@@ -498,12 +525,15 @@ impl Pipeline {
 
 // ------------------------------------------------------------- passes
 
-/// Cross-cutting: trips any armed per-phase panic faults for the
-/// function (one deterministic decision per Table-1 phase key) at the
-/// head of the pipeline, where the service's isolation layer catches
-/// the panic.
+/// Cross-cutting: trips the plan's faults for the function at the head
+/// of the pipeline.  An armed `Overrun` sleeps just past the pass
+/// budget, so the pipeline's own check reports it (with no budget it
+/// never fires); otherwise any armed per-phase panic fires (one
+/// deterministic decision per Table-1 phase key), where the service's
+/// isolation layer catches it.
 struct FaultTripPass {
     plan: Option<FaultPlan>,
+    budget: Option<Duration>,
 }
 
 impl Pass for FaultTripPass {
@@ -516,9 +546,16 @@ impl Pass for FaultTripPass {
     }
 
     fn run(&self, unit: &mut UnitState, _cx: &mut PassCx<'_>) -> Result<(), CompileError> {
-        if let Some(plan) = &self.plan {
-            phases::trip_phase_faults(plan, &unit.name);
+        let Some(plan) = &self.plan else {
+            return Ok(());
+        };
+        if let Some(budget) = self.budget {
+            if plan.fires(FaultSite::Overrun, &unit.name) {
+                std::thread::sleep(budget + budget / 4 + Duration::from_millis(20));
+                return Ok(());
+            }
         }
+        phases::trip_phase_faults(plan, &unit.name);
         Ok(())
     }
 }
@@ -1173,6 +1210,23 @@ mod tests {
         c.pass_budget = Some(Duration::from_secs(60));
         c.compile_str("(defun sq (x) (* x x))").unwrap();
         assert!(c.disassemble("sq").is_some());
+    }
+
+    #[test]
+    fn planned_overrun_trips_only_under_a_pass_budget() {
+        use s1lisp_trace::fault::{FaultPlan, FaultSite};
+        let plan = FaultPlan::new(1).arm(FaultSite::Overrun, 1000);
+        let mut c = Compiler::new();
+        c.fault_plan = Some(plan.clone());
+        c.pass_budget = Some(Duration::from_millis(5));
+        match c.compile_str("(defun sq (x) (* x x))") {
+            Err(CompileError::Overrun(o)) => assert_eq!(o.pass, "Fault injection"),
+            other => panic!("expected an overrun, got {other:?}"),
+        }
+        // With no budget to overrun, the site never fires.
+        let mut c = Compiler::new();
+        c.fault_plan = Some(plan);
+        c.compile_str("(defun sq (x) (* x x))").unwrap();
     }
 
     fn err_to_string(e: &CompileError) -> String {

@@ -13,10 +13,14 @@
 //!   LRU in memory, optionally persisted to disk as JSON.  A cache hit
 //!   skips every phase after Preliminary.
 //! * **Robustness** — per-function panic isolation (`catch_unwind`), an
-//!   optional per-function time budget with a watchdog thread, and
+//!   optional per-pass time budget ([`ServiceConfig::pass_budget`],
+//!   checked by the pipeline between passes, no thread per job), and
 //!   graceful degradation: a function whose pipeline panics or runs
 //!   over budget is recompiled with transformations off and the fault
-//!   is recorded as an [`Incident`].
+//!   is recorded as an [`Incident`].  A between-pass check suffices
+//!   because every pass terminates: the §7 optimizer is capped by
+//!   `OptOptions::max_rounds` and the other passes are bounded tree
+//!   walks.
 //! * **Observability** — cache hit/miss/evict counters, queue depth,
 //!   per-worker and per-phase totals, one [`JobRecord`] per function,
 //!   all serializable for `report --json service`.
@@ -26,8 +30,9 @@
 //!   compares each [`OracleCase`] against a transformations-off
 //!   reference compile on the simulator; a seeded [`FaultPlan`] can
 //!   deterministically inject cache I/O errors, corrupt reads, phase
-//!   panics, watchdog overruns, and miscompiles to drill the whole
-//!   containment surface ([`GuardReport`]).
+//!   panics, pass-budget overruns, and miscompiles to drill the whole
+//!   containment surface ([`GuardReport`]), or aim one fault at one
+//!   function ([`FaultPlan::only_for`]).
 //!
 //! ```
 //! use s1lisp_driver::{CompileService, ServiceConfig, SourceUnit};
@@ -49,7 +54,7 @@ pub mod fsio;
 mod service;
 
 pub use cache::{ArtifactCache, CacheStats};
-pub use s1lisp::{BackendKind, FaultPlan, FaultSite};
+pub use s1lisp::{BackendKind, FaultPlan, FaultSite, PipelineOptions};
 pub use service::{
     unit_decls, BatchResult, BatchStats, CompileService, CrossVerdict, GuardReport, Incident,
     IncidentKind, JobRecord, OracleVerdict, Outcome, WorkerStats,
@@ -75,26 +80,6 @@ impl SourceUnit {
             source: source.into(),
         }
     }
-}
-
-/// Where and how to force a pipeline fault (test/demo hook for the
-/// degradation machinery).
-#[derive(Clone, Debug)]
-pub struct FaultInjection {
-    /// The function whose compilation should fault.
-    pub function: String,
-    /// Panic, or stall (to trip the time budget).
-    pub mode: FaultMode,
-}
-
-/// The kind of injected fault.
-#[derive(Clone, Copy, Debug)]
-pub enum FaultMode {
-    /// Panic between conversion and compilation, as an optimizer bug
-    /// would.
-    Panic,
-    /// Sleep this long first, so a per-function time budget expires.
-    Hang(Duration),
 }
 
 /// One differential-oracle case: after a guarded batch, call `entry`
@@ -203,44 +188,14 @@ impl BackendSelect {
     }
 }
 
-/// How a batch's job queue is ordered before the workers drain it.
-///
-/// Because every job is hermetic and results are reassembled in source
-/// order, queue order affects only wall-clock, never output — pinned by
-/// the schedule-invariance test.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Schedule {
-    /// Source order, as split.
-    Fifo,
-    /// Largest function first, by the complexity analysis's
-    /// whole-function object-code size estimate
-    /// ([`s1lisp::PendingFunction::complexity_estimate`]); ties keep
-    /// source order.  The longest compilations start before the queue
-    /// thins out, so the batch does not end with one worker grinding a
-    /// big function while the rest idle.
-    LargestFirst,
-}
-
-impl Schedule {
-    /// Lower-case label for reports (`"fifo"` / `"sorted"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Schedule::Fifo => "fifo",
-            Schedule::LargestFirst => "sorted",
-        }
-    }
-}
-
-/// Service configuration.  The compiler options mirror the fields of
-/// [`s1lisp::Compiler`] and participate in the cache key; the rest
-/// shape scheduling and robustness.
+/// Service configuration.  The compiler options become one
+/// [`PipelineOptions`] ([`ServiceConfig::pipeline_options`]) and
+/// participate in the cache key; the rest shape scheduling and
+/// robustness.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker threads (`1` = serial on the caller's thread).
     pub jobs: usize,
-    /// Queue order for each batch.  Output-invariant; the default
-    /// ([`Schedule::LargestFirst`]) minimizes straggler time.
-    pub schedule: Schedule,
     /// Source-level optimization switches for every job.
     pub opt_options: s1lisp::OptOptions,
     /// Whether jobs run the CSE phase.
@@ -254,15 +209,11 @@ pub struct ServiceConfig {
     /// backend salts the option fingerprint, so the artifact cache is
     /// partitioned per backend automatically.
     pub backend: BackendSelect,
-    /// Per-function wall-clock budget; `None` disables the watchdog.
-    pub time_budget: Option<Duration>,
     /// Per-*pass* wall-clock budget, enforced by the pipeline itself
     /// between passes: an overrun fails the function with a structured
     /// [`s1lisp::PassOverrun`] naming the slow pass, and the service
-    /// routes it to the degraded path like a watchdog timeout.  Unlike
-    /// [`ServiceConfig::time_budget`] it needs no watchdog thread, but
-    /// it cannot interrupt a pass that hangs outright — configure both
-    /// for full coverage.  `None` disables it.
+    /// records a timeout incident and takes the degraded path.  `None`
+    /// disables it.
     pub pass_budget: Option<Duration>,
     /// In-memory cache entries to keep (LRU beyond this).
     pub cache_capacity: usize,
@@ -271,15 +222,15 @@ pub struct ServiceConfig {
     /// Bound on entries in the persistent tier (the oldest are swept
     /// after each write); `None` leaves on-disk growth unbounded.
     pub disk_max_entries: Option<usize>,
-    /// Forced fault, for exercising the degraded path.
-    pub fault: Option<FaultInjection>,
     /// Guarded compilation: run the phase validators (well-formedness +
     /// back-translation round trip) on every job, route violations to
     /// the degraded path, and run the differential oracle over
     /// [`ServiceConfig::oracle`] after the batch.
     pub guard: bool,
     /// Seeded deterministic fault plan arming the cache, phase,
-    /// overrun, and oracle injection sites; `None` injects nothing.
+    /// overrun, and oracle injection sites (the overrun site needs a
+    /// [`ServiceConfig::pass_budget`] to overrun); `None` injects
+    /// nothing.
     pub fault_plan: Option<FaultPlan>,
     /// Differential-oracle cases, run when `guard` is set.
     pub oracle: Vec<OracleCase>,
@@ -292,18 +243,15 @@ impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
             jobs: 1,
-            schedule: Schedule::LargestFirst,
             opt_options: s1lisp::OptOptions::default(),
             cse: false,
             codegen_options: s1lisp::CodegenOptions::default(),
             tension_branches: true,
             backend: BackendSelect::S1,
-            time_budget: None,
             pass_budget: None,
             cache_capacity: 512,
             cache_dir: None,
             disk_max_entries: None,
-            fault: None,
             guard: false,
             fault_plan: None,
             oracle: Vec::new(),
@@ -318,6 +266,23 @@ impl ServiceConfig {
         ServiceConfig {
             jobs,
             ..ServiceConfig::default()
+        }
+    }
+
+    /// The compiler options every job compiles under: the one place a
+    /// `ServiceConfig` becomes a [`s1lisp::Compiler`] configuration.
+    /// Variants derive from it by [`PipelineOptions::transformations_off`]
+    /// and [`PipelineOptions::unguarded`].
+    pub fn pipeline_options(&self) -> PipelineOptions {
+        PipelineOptions {
+            backend: self.backend.primary(),
+            opt_options: self.opt_options.clone(),
+            cse: self.cse,
+            codegen_options: self.codegen_options.clone(),
+            tension_branches: self.tension_branches,
+            guard: self.guard,
+            fault_plan: self.fault_plan.clone(),
+            pass_budget: self.pass_budget,
         }
     }
 }

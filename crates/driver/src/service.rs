@@ -24,14 +24,17 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-use s1lisp::{Artifact, BackendKind, CompileError, Compiler, FaultPlan, FaultSite, Machine, Value};
+use s1lisp::{
+    Artifact, BackendKind, CompileError, Compiler, FaultPlan, FaultSite, Machine, PendingFunction,
+    PipelineOptions, Value,
+};
 use s1lisp_ast::Fnv1a64;
 use s1lisp_reader::{read_all_str, read_str, Datum, Interner};
 use s1lisp_trace::json::Json;
 use s1lisp_trace::metrics::{Histogram, MetricsRegistry, TIME_BUCKETS_US};
 
 use crate::cache::{ArtifactCache, CacheStats};
-use crate::{BatchTuning, FaultMode, OracleCase, Schedule, ServiceConfig, SourceUnit};
+use crate::{BatchTuning, OracleCase, ServiceConfig, SourceUnit};
 
 /// One function's worth of work: everything a worker needs, as plain
 /// data that crosses threads freely.
@@ -82,7 +85,7 @@ impl Outcome {
 pub enum IncidentKind {
     /// The pipeline panicked.
     Panic,
-    /// The pipeline exceeded the per-function time budget.
+    /// A pipeline pass exceeded the per-pass time budget.
     Timeout,
     /// A guarded-compilation validator rejected the tree.
     Guard,
@@ -168,8 +171,6 @@ pub struct WorkerStats {
 pub struct BatchStats {
     /// Worker threads actually used (≤ the configured `jobs`).
     pub workers_used: usize,
-    /// Queue order the batch ran with.
-    pub schedule: Schedule,
     /// Functions fanned out.
     pub functions: usize,
     /// Cache traffic caused by this batch.
@@ -489,7 +490,6 @@ impl BatchResult {
         let artifacts = self.artifacts.iter().map(Artifact::to_json).collect();
         obj(vec![
             ("workers_used", Json::uint(self.stats.workers_used as u64)),
-            ("schedule", Json::str(self.stats.schedule.as_str())),
             ("functions", Json::uint(self.stats.functions as u64)),
             ("hit_rate_percent", Json::uint(self.hit_rate_percent())),
             ("queue_peak", Json::uint(self.stats.queue_peak as u64)),
@@ -535,32 +535,10 @@ fn cache_key(tree_fp: u64, options_fp: u64) -> u64 {
     h.finish()
 }
 
-/// A compiler configured for one job.  `degraded` switches every
-/// source-level transformation off (the recovery path after a fault)
-/// and also drops the guard validators and injected faults: the retry
-/// must run clean.
-fn job_compiler(config: &ServiceConfig, specials: &[String], degraded: bool) -> Compiler {
-    let mut c = Compiler::new();
-    c.opt_options = if degraded {
-        s1lisp::OptOptions::none()
-    } else {
-        config.opt_options.clone()
-    };
-    c.cse = config.cse && !degraded;
-    c.codegen_options = config.codegen_options.clone();
-    c.tension_branches = config.tension_branches;
-    // The backend salts the option fingerprint, so jobs for different
-    // backends can never collide in the shared artifact cache.
-    c.backend = config.backend.primary();
-    c.guard = config.guard && !degraded;
-    c.fault_plan = if degraded {
-        None
-    } else {
-        config.fault_plan.clone()
-    };
-    // The degraded retry runs with no per-pass budget: it exists to
-    // salvage an artifact, and the function already has an incident.
-    c.pass_budget = if degraded { None } else { config.pass_budget };
+/// A compiler for one job under `options`: tracing on, the job's
+/// specials proclaimed.
+fn job_compiler(options: &PipelineOptions, specials: &[String]) -> Compiler {
+    let mut c = Compiler::with_options(options.clone());
     c.enable_trace();
     for s in specials {
         c.proclaim_special(s);
@@ -568,7 +546,10 @@ fn job_compiler(config: &ServiceConfig, specials: &[String], degraded: bool) -> 
     c
 }
 
-fn sink_phase_spans(c: &Compiler) -> Vec<(String, u64, u64)> {
+/// Phase spans as (phase name, spans, wall microseconds).
+type PhaseSpans = Vec<(String, u64, u64)>;
+
+fn sink_phase_spans(c: &Compiler) -> PhaseSpans {
     c.trace().map_or_else(Vec::new, |sink| {
         sink.phases()
             .iter()
@@ -583,138 +564,89 @@ fn sink_phase_spans(c: &Compiler) -> Vec<(String, u64, u64)> {
     })
 }
 
-struct AttemptOk {
-    artifact: Artifact,
-    phase_spans: Vec<(String, u64, u64)>,
-}
-
-/// A failed attempt; `guard` marks validator rejections and `overrun`
-/// marks per-pass budget overruns, both of which take the
-/// degraded-recompile path instead of failing the function outright.
+/// A failed conversion or compilation.  `incident` is set for the
+/// faults that take the degraded-recompile path — a panic, a guard
+/// rejection, a per-pass budget overrun — and `None` for plain compile
+/// errors, which fail the function outright.
 struct AttemptErr {
-    guard: bool,
-    overrun: bool,
+    incident: Option<IncidentKind>,
     detail: String,
 }
 
 impl AttemptErr {
     fn plain(detail: impl Into<String>) -> AttemptErr {
         AttemptErr {
-            guard: false,
-            overrun: false,
+            incident: None,
             detail: detail.into(),
         }
     }
 
     fn from_compile(e: &CompileError) -> AttemptErr {
         AttemptErr {
-            guard: matches!(e, CompileError::Guard(_)),
-            overrun: matches!(e, CompileError::Overrun(_)),
+            incident: match e {
+                CompileError::Guard(_) => Some(IncidentKind::Guard),
+                CompileError::Overrun(_) => Some(IncidentKind::Timeout),
+                _ => None,
+            },
             detail: e.to_string(),
         }
     }
+
+    fn panicked(payload: &(dyn std::any::Any + Send)) -> AttemptErr {
+        let detail = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "opaque panic payload".to_string()
+        };
+        AttemptErr {
+            incident: Some(IncidentKind::Panic),
+            detail,
+        }
+    }
 }
 
-/// One self-contained compilation attempt: builds a private compiler,
-/// converts, (optionally) trips the injected faults, and compiles.
-/// Runs inline or on a watchdogged thread; owns no shared state.
-fn attempt(job: &Job, config: &ServiceConfig, degraded: bool) -> Result<AttemptOk, AttemptErr> {
-    let mut c = job_compiler(config, &job.specials, degraded);
+/// Converts a job's form: the Preliminary phase, which never optimizes
+/// and so runs outside the panic guard.
+fn convert(c: &mut Compiler, job: &Job) -> Result<PendingFunction, AttemptErr> {
     let mut pending = c
         .convert_str(&job.form)
         .map_err(|e| AttemptErr::from_compile(&e))?;
-    let Some(p) = pending.pop().filter(|_| pending.is_empty()) else {
-        return Err(AttemptErr::plain(format!(
+    match (pending.pop(), pending.is_empty()) {
+        (Some(p), true) => Ok(p),
+        _ => Err(AttemptErr::plain(format!(
             "expected exactly one function in job {}",
             job.fn_name
-        )));
-    };
-    if !degraded {
-        if let Some(fault) = config.fault.as_ref().filter(|f| f.function == job.fn_name) {
-            match fault.mode {
-                FaultMode::Panic => {
-                    panic!("injected optimizer fault in {}", job.fn_name)
-                }
-                FaultMode::Hang(d) => std::thread::sleep(d),
-            }
-        }
-        // A planned overrun only makes sense when a watchdog is armed
-        // to catch it: sleep just past the budget.
-        if let (Some(plan), Some(budget)) = (&config.fault_plan, config.time_budget) {
-            if plan.fires(FaultSite::Overrun, &job.fn_name) {
-                std::thread::sleep(budget + budget / 4 + std::time::Duration::from_millis(20));
-            }
-        }
+        ))),
     }
-    let name = c
-        .compile_pending(p)
+}
+
+/// Runs a converted function through `c`'s pipeline, panic-isolated,
+/// and detaches its artifact.
+fn compile(c: &mut Compiler, p: PendingFunction) -> Result<Artifact, AttemptErr> {
+    let name = catch_unwind(AssertUnwindSafe(|| c.compile_pending(p)))
+        .map_err(|payload| AttemptErr::panicked(payload.as_ref()))?
         .map_err(|e| AttemptErr::from_compile(&e))?;
-    let mut artifact = c
-        .artifact(&name)
-        .ok_or_else(|| AttemptErr::plain(format!("no artifact for {name}")))?;
-    artifact.degraded = degraded;
-    Ok(AttemptOk {
-        artifact,
-        phase_spans: sink_phase_spans(&c),
-    })
+    c.artifact(&name)
+        .ok_or_else(|| AttemptErr::plain(format!("no artifact for {name}")))
 }
 
-enum AttemptOutcome {
-    Ok(Box<AttemptOk>),
-    CompileError(AttemptErr),
-    Panicked(String),
-    TimedOut,
-}
-
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
-/// Runs an attempt with panic isolation, and — when a time budget is
-/// configured — under a watchdog: the attempt runs on its own thread
-/// and the worker waits at most the budget.  A thread that runs over
-/// is abandoned (threads cannot be killed); it owns only job-local
-/// state, so the leak is bounded by process exit.
-fn guarded_attempt(job: &Job, config: &ServiceConfig, degraded: bool) -> AttemptOutcome {
-    match config.time_budget {
-        None => match catch_unwind(AssertUnwindSafe(|| attempt(job, config, degraded))) {
-            Ok(Ok(ok)) => AttemptOutcome::Ok(Box::new(ok)),
-            Ok(Err(e)) => AttemptOutcome::CompileError(e),
-            Err(payload) => AttemptOutcome::Panicked(panic_detail(payload.as_ref())),
-        },
-        Some(budget) => {
-            let (tx, rx) = mpsc::channel();
-            let job = job.clone();
-            let config = config.clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("s1lisp-attempt-{}", job.fn_name))
-                .spawn(move || {
-                    let r = catch_unwind(AssertUnwindSafe(|| attempt(&job, &config, degraded)))
-                        .map_err(|p| panic_detail(p.as_ref()));
-                    let _ = tx.send(r);
-                });
-            if spawned.is_err() {
-                return AttemptOutcome::CompileError(AttemptErr::plain(
-                    "could not spawn attempt thread",
-                ));
-            }
-            match rx.recv_timeout(budget) {
-                Ok(Ok(Ok(ok))) => AttemptOutcome::Ok(Box::new(ok)),
-                Ok(Ok(Err(e))) => AttemptOutcome::CompileError(e),
-                Ok(Err(detail)) => AttemptOutcome::Panicked(detail),
-                Err(mpsc::RecvTimeoutError::Timeout) => AttemptOutcome::TimedOut,
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    AttemptOutcome::Panicked("attempt thread died without reporting".into())
-                }
-            }
-        }
-    }
+/// The recovery path after a fault: a fresh compiler with every
+/// transformation off and no fault plan, validators or budget — the
+/// retry must run clean.
+fn degraded_attempt(
+    job: &Job,
+    options: &PipelineOptions,
+) -> Result<(Artifact, PhaseSpans), AttemptErr> {
+    let mut c = job_compiler(
+        &options.clone().transformations_off().unguarded(),
+        &job.specials,
+    );
+    let p = convert(&mut c, job)?;
+    let mut artifact = compile(&mut c, p)?;
+    artifact.degraded = true;
+    Ok((artifact, sink_phase_spans(&c)))
 }
 
 struct JobResult {
@@ -724,118 +656,75 @@ struct JobResult {
     failure: Option<(String, String)>,
 }
 
-/// Resolves one job end to end: probe the cache, compile on a miss,
-/// degrade on a fault.
+/// Resolves one job end to end with one compiler: convert, probe the
+/// cache, compile on a miss, degrade on a fault.
 fn process_job(
     job: &Job,
-    config: &ServiceConfig,
+    options: &PipelineOptions,
     cache: &ArtifactCache,
     worker: usize,
 ) -> JobResult {
     let start = Instant::now();
     let mut incident = None;
     let mut failure = None;
-    let phase_spans;
-    // The cache probe needs the converted tree; conversion is the
-    // Preliminary phase and never optimizes, so it runs outside the
-    // fault/budget guard.
-    let mut probe = job_compiler(config, &job.specials, false);
-    // The *cache* key carries the tenant salt (partitioning the shared
-    // cache); the *reported* fingerprint stays unsalted so the same
-    // function compiles to byte-identical artifacts for every tenant —
-    // the server-vs-`compile_batch` equivalence contract.
-    let (key, fingerprint) = match probe.convert_str(&job.form) {
-        Ok(pending) if pending.len() == 1 => {
-            let base = cache_key(pending[0].tree_fingerprint(), probe.options_fingerprint());
-            (base ^ job.salt, base)
-        }
-        Ok(_) => (0, 0),
+    let mut c = job_compiler(options, &job.specials);
+    let (outcome, artifact, phase_spans) = match convert(&mut c, job) {
         Err(e) => {
-            return JobResult {
-                record: JobRecord {
-                    seq: job.seq,
-                    unit: job.unit.clone(),
-                    function: job.fn_name.clone(),
-                    worker,
-                    outcome: Outcome::Failed,
-                    wall_us: elapsed_us(start),
-                    queue_us: 0,
-                    phase_spans: sink_phase_spans(&probe),
-                },
-                artifact: None,
-                incident: None,
-                failure: Some((job.fn_name.clone(), e.to_string())),
-            }
+            failure = Some((job.fn_name.clone(), e.detail));
+            (Outcome::Failed, None, sink_phase_spans(&c))
         }
-    };
-    let (outcome, artifact) = if let Some(mut hit) = cache.get(key) {
-        hit.fingerprint = fingerprint;
-        phase_spans = sink_phase_spans(&probe);
-        (Outcome::Hit, Some(hit))
-    } else {
-        match guarded_attempt(job, config, false) {
-            AttemptOutcome::Ok(mut ok) => {
-                ok.artifact.fingerprint = fingerprint;
-                cache.put(key, &ok.artifact);
-                phase_spans = ok.phase_spans;
-                (Outcome::Compiled, Some(ok.artifact))
-            }
-            AttemptOutcome::CompileError(e) if !e.guard && !e.overrun => {
-                failure = Some((job.fn_name.clone(), e.detail));
-                phase_spans = Vec::new();
-                (Outcome::Failed, None)
-            }
-            faulted => {
-                let (kind, detail) = match faulted {
-                    AttemptOutcome::TimedOut => (
-                        IncidentKind::Timeout,
-                        format!(
-                            "exceeded the {:?} per-function budget",
-                            config.time_budget.unwrap_or_default()
-                        ),
-                    ),
-                    AttemptOutcome::Panicked(d) => (IncidentKind::Panic, d),
-                    // Only guard rejections and pass-budget overruns
-                    // reach here; plain compile errors took the arm
-                    // above.  An overrun is a timeout incident — same
-                    // containment contract as the watchdog, but the
-                    // detail names the pass.
-                    AttemptOutcome::CompileError(e) if e.overrun => {
-                        (IncidentKind::Timeout, e.detail)
+        Ok(p) => {
+            // The *cache* key carries the tenant salt (partitioning the
+            // shared cache); the *reported* fingerprint stays unsalted so
+            // the same function compiles to byte-identical artifacts for
+            // every tenant — the server-vs-`compile_batch` equivalence
+            // contract.
+            let fingerprint = cache_key(p.tree_fingerprint(), c.options_fingerprint());
+            let key = fingerprint ^ job.salt;
+            if let Some(mut hit) = cache.get(key) {
+                hit.fingerprint = fingerprint;
+                (Outcome::Hit, Some(hit), sink_phase_spans(&c))
+            } else {
+                match compile(&mut c, p) {
+                    Ok(mut artifact) => {
+                        artifact.fingerprint = fingerprint;
+                        cache.put(key, &artifact);
+                        (Outcome::Compiled, Some(artifact), sink_phase_spans(&c))
                     }
-                    AttemptOutcome::CompileError(e) => (IncidentKind::Guard, e.detail),
-                    AttemptOutcome::Ok(_) => unreachable!("handled above"),
-                };
-                // Graceful degradation: transformations off, no fault
-                // injection, no validators, panic-isolated.  Degraded
-                // artifacts are never cached — the cache holds only
-                // clean output.
-                let retry = catch_unwind(AssertUnwindSafe(|| attempt(job, config, true)));
-                let (outcome, artifact, recovered) = match retry {
-                    Ok(Ok(mut ok)) => {
-                        ok.artifact.fingerprint = fingerprint;
-                        phase_spans = ok.phase_spans;
-                        (Outcome::Degraded, Some(ok.artifact), true)
+                    Err(AttemptErr {
+                        incident: None,
+                        detail,
+                    }) => {
+                        failure = Some((job.fn_name.clone(), detail));
+                        (Outcome::Failed, None, Vec::new())
                     }
-                    Ok(Err(e)) => {
-                        failure = Some((job.fn_name.clone(), e.detail));
-                        phase_spans = Vec::new();
-                        (Outcome::Failed, None, false)
+                    Err(AttemptErr {
+                        incident: Some(kind),
+                        detail,
+                    }) => {
+                        // Graceful degradation.  Degraded artifacts are
+                        // never cached — the cache holds only clean
+                        // output.
+                        let retry = degraded_attempt(job, options);
+                        incident = Some(Incident {
+                            function: job.fn_name.clone(),
+                            unit: job.unit.clone(),
+                            kind,
+                            detail,
+                            recovered: retry.is_ok(),
+                        });
+                        match retry {
+                            Ok((mut artifact, spans)) => {
+                                artifact.fingerprint = fingerprint;
+                                (Outcome::Degraded, Some(artifact), spans)
+                            }
+                            Err(e) => {
+                                failure = Some((job.fn_name.clone(), e.detail));
+                                (Outcome::Failed, None, Vec::new())
+                            }
+                        }
                     }
-                    Err(payload) => {
-                        failure = Some((job.fn_name.clone(), panic_detail(payload.as_ref())));
-                        phase_spans = Vec::new();
-                        (Outcome::Failed, None, false)
-                    }
-                };
-                incident = Some(Incident {
-                    function: job.fn_name.clone(),
-                    unit: job.unit.clone(),
-                    kind,
-                    detail,
-                    recovered,
-                });
-                (outcome, artifact)
+                }
             }
         }
     };
@@ -865,8 +754,8 @@ fn elapsed_us(start: Instant) -> u64 {
 /// whole-function object-code estimate.  A form that fails to convert
 /// estimates 0 — the job still runs (and records its failure) wherever
 /// it lands in the queue.
-fn size_estimate(job: &Job, config: &ServiceConfig) -> u32 {
-    let mut probe = job_compiler(config, &job.specials, false);
+fn size_estimate(job: &Job, options: &PipelineOptions) -> u32 {
+    let mut probe = job_compiler(options, &job.specials);
     match probe.convert_str(&job.form) {
         Ok(pending) if pending.len() == 1 => pending[0].complexity_estimate(),
         _ => 0,
@@ -885,7 +774,7 @@ struct WorkerMetrics<'a> {
 fn worker_loop(
     worker: usize,
     queue: &Mutex<VecDeque<Job>>,
-    config: &ServiceConfig,
+    options: &PipelineOptions,
     cache: &ArtifactCache,
     metrics: &WorkerMetrics<'_>,
     tx: &mpsc::Sender<JobResult>,
@@ -895,7 +784,7 @@ fn worker_loop(
         let Some(job) = job else { break };
         let queue_us = elapsed_us(metrics.queue_opened);
         metrics.queue_wait_us.observe(queue_us);
-        let mut result = process_job(&job, config, cache, worker);
+        let mut result = process_job(&job, options, cache, worker);
         result.record.queue_us = queue_us;
         metrics.job_wall_us.observe(result.record.wall_us);
         if tx.send(result).is_err() {
@@ -963,7 +852,12 @@ impl CompileService {
     /// `compile_batch` is exactly this call with the default (inert)
     /// tuning.
     pub fn compile_batch_with(&self, units: &[SourceUnit], tuning: BatchTuning) -> BatchResult {
-        let config = self.effective_config(tuning);
+        // The salt is not a compiler option — it partitions cache keys
+        // only — so only the demotion shapes the options.
+        let mut options = self.config.pipeline_options();
+        if tuning.transformations_off {
+            options = options.transformations_off();
+        }
         let before = self.cache.stats();
         let mut jobs = Vec::new();
         let mut globals = Vec::new();
@@ -982,14 +876,17 @@ impl CompileService {
         }
         let functions = jobs.len();
         let queue_peak = functions;
-        let workers_used = config.jobs.max(1).min(functions.max(1));
-        if config.schedule == Schedule::LargestFirst && jobs.len() > 1 {
-            // Largest first: the biggest compilations start before the
-            // queue thins out.  Results are reassembled by `seq`, so
+        let workers_used = self.config.jobs.max(1).min(functions.max(1));
+        if jobs.len() > 1 {
+            // Largest first, by the complexity analysis's object-code
+            // size estimate; ties keep source order.  The biggest
+            // compilations start before the queue thins out, so the
+            // batch does not end with one worker grinding a big function
+            // while the rest idle.  Results are reassembled by `seq`, so
             // this affects wall-clock only, never output.
             let mut keyed: Vec<(u32, Job)> = jobs
                 .into_iter()
-                .map(|j| (size_estimate(&j, &config), j))
+                .map(|j| (size_estimate(&j, &options), j))
                 .collect();
             keyed.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.seq.cmp(&b.1.seq)));
             jobs = keyed.into_iter().map(|(_, j)| j).collect();
@@ -1004,16 +901,16 @@ impl CompileService {
         if workers_used == 1 {
             // The degenerate serial path: same worker loop, caller's
             // thread, no pool.
-            worker_loop(0, &queue, &config, &self.cache, &worker_metrics, &tx);
+            worker_loop(0, &queue, &options, &self.cache, &worker_metrics, &tx);
         } else {
             std::thread::scope(|s| {
                 for worker in 0..workers_used {
                     let tx = tx.clone();
                     let queue = &queue;
                     let worker_metrics = &worker_metrics;
-                    let config = &config;
+                    let options = &options;
                     s.spawn(move || {
-                        worker_loop(worker, queue, config, &self.cache, worker_metrics, &tx);
+                        worker_loop(worker, queue, options, &self.cache, worker_metrics, &tx);
                     });
                 }
             });
@@ -1068,7 +965,6 @@ impl CompileService {
             globals,
             stats: BatchStats {
                 workers_used,
-                schedule: config.schedule,
                 functions,
                 cache: self.cache.stats().since(&before),
                 queue_peak,
@@ -1080,10 +976,10 @@ impl CompileService {
         };
         // Cross-backend first, so a guard report's containment verdict
         // sees any cross-backend miscompile incidents.
-        if config.backend.cross_checked() {
+        if self.config.backend.cross_checked() {
             self.apply_cross_oracle(units, &mut batch);
         }
-        if config.guard {
+        if self.config.guard {
             self.apply_guard(units, &mut batch);
         }
         self.metrics.counter("service.batches").inc();
@@ -1097,19 +993,6 @@ impl CompileService {
             .gauge("cache.hit_rate_permille")
             .set(self.cache.stats().hit_rate_permille() as i64);
         batch
-    }
-
-    /// The configuration one batch actually compiles under: the
-    /// service's, with the tenant demotion applied.  The salt is not a
-    /// compiler option — it partitions cache keys only — so it does not
-    /// appear here.
-    fn effective_config(&self, tuning: BatchTuning) -> ServiceConfig {
-        let mut cfg = self.config.clone();
-        if tuning.transformations_off {
-            cfg.opt_options = s1lisp::OptOptions::none();
-            cfg.cse = false;
-        }
-        cfg
     }
 
     /// The post-batch guard pass: run the differential oracle over the
@@ -1159,25 +1042,21 @@ impl CompileService {
 
     /// A serial compiler for one side of the oracle.
     fn oracle_compiler(&self, reference: bool) -> Compiler {
-        let mut c = Compiler::new();
-        c.opt_options = if reference {
-            s1lisp::OptOptions::none()
+        let options = self.config.pipeline_options().unguarded();
+        Compiler::with_options(if reference {
+            options.transformations_off()
         } else {
-            self.config.opt_options.clone()
-        };
-        c.cse = self.config.cse && !reference;
-        c.codegen_options = self.config.codegen_options.clone();
-        c.tension_branches = self.config.tension_branches;
-        c.backend = self.config.backend.primary();
-        c
+            options
+        })
     }
 
     /// A serial, batch-options compiler for one side of the
     /// cross-backend oracle.
     fn backend_compiler(&self, backend: BackendKind) -> Compiler {
-        let mut c = self.oracle_compiler(false);
-        c.backend = backend;
-        c
+        Compiler::with_options(PipelineOptions {
+            backend,
+            ..self.config.pipeline_options().unguarded()
+        })
     }
 
     /// The post-batch cross-backend pass ([`BackendSelect::Both`](crate::BackendSelect::Both)):

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use s1lisp::{Compiler, FaultSite, Value};
+use s1lisp::{BackendKind, Compiler, FaultSite, PipelineOptions, Value};
 use s1lisp_driver::{
     unit_decls, BatchTuning, CompileService, IncidentKind, ServiceConfig, SourceUnit,
 };
@@ -670,6 +670,7 @@ fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &
     let st = work.tenant.lock().expect("tenant poisoned");
     resp.tenant = st.name.clone();
     resp.slo.degraded = st.degraded;
+    let demoted = st.degraded;
     let sources: Vec<String> = st.sources.clone();
     drop(st);
     // The seeded fault plan's simulator-trap site fires here too, so a
@@ -689,13 +690,17 @@ fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &
     // Rebuild the tenant's world in a fresh compiler (a `Compiler`
     // holds `Rc`s and cannot live across worker threads): replaying
     // the compiled sources in order reconstructs specials, globals,
-    // and functions exactly.
-    let cfg = &shared.config.service;
-    let mut c = Compiler::new();
-    c.opt_options = cfg.opt_options.clone();
-    c.cse = cfg.cse;
-    c.codegen_options = cfg.codegen_options.clone();
-    c.tension_branches = cfg.tension_branches;
+    // and functions exactly, under the options its compiles ran with —
+    // transformations off once the tenant is demoted.  The replay runs
+    // on the simulator, so it always targets the S-1 backend.
+    let mut options = PipelineOptions {
+        backend: BackendKind::S1,
+        ..shared.config.service.pipeline_options().unguarded()
+    };
+    if demoted {
+        options = options.transformations_off();
+    }
+    let mut c = Compiler::with_options(options);
     for src in &sources {
         if let Err(e) = c.compile_str(src) {
             resp.ok = false;

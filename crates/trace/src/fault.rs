@@ -1,11 +1,11 @@
 //! Deterministic fault injection.
 //!
 //! A [`FaultPlan`] arms named fault sites across the pipeline — cache
-//! I/O, per-phase panics, watchdog overruns, simulator traps — from a
-//! single seed.  The plan is a *pure decision function*: whether a
-//! fault fires at `(site, key)` depends only on the seed, the site, and
-//! the key, never on how many decisions were made before or in what
-//! order.  Worker pools schedule jobs nondeterministically, so a
+//! I/O, per-phase panics, pass-budget overruns, simulator traps — from
+//! a single seed, optionally aimed at one function.  The plan is a
+//! *pure decision function*: whether a fault fires at `(site, key)`
+//! depends only on the seed, the site, the key, and what is armed,
+//! never on how many decisions were made before or in what order.  Worker pools schedule jobs nondeterministically, so a
 //! stateful RNG stream would make fault scenarios unreplayable; here
 //! every scenario replays exactly from its seed regardless of thread
 //! interleaving.
@@ -23,7 +23,7 @@ pub enum FaultSite {
     CacheCorrupt,
     /// A compiler phase panics mid-function.
     PhasePanic,
-    /// A compile job overruns its time budget.
+    /// A compile job overruns its per-pass time budget.
     Overrun,
     /// The simulator traps while running an oracle case.
     SimTrap,
@@ -91,11 +91,16 @@ impl FaultSite {
 /// decide a deterministic *failure count* — how many consecutive
 /// attempts fail before one succeeds — so bounded retry loops have
 /// reproducible outcomes too.
+///
+/// [`FaultPlan::only_for`] aims a plan at one function: its armed sites
+/// then fire only on keys naming that function, so a rate of 1000
+/// becomes "always, for this function, never for any other".
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     /// The seed every decision derives from.
     pub seed: u64,
     rates: [u16; FaultSite::ALL.len()],
+    target: Option<String>,
 }
 
 impl FaultPlan {
@@ -104,6 +109,7 @@ impl FaultPlan {
         FaultPlan {
             seed,
             rates: [0; FaultSite::ALL.len()],
+            target: None,
         }
     }
 
@@ -122,6 +128,16 @@ impl FaultPlan {
         self
     }
 
+    /// Restricts every armed site to one function (builder style).  A
+    /// key belongs to `function` when it is the name itself or a
+    /// `function/…` sub-key, such as the per-phase keys of
+    /// [`FaultSite::PhasePanic`].  Sites keyed by anything else (cache
+    /// keys, journal records) never fire under a targeted plan.
+    pub fn only_for(mut self, function: impl Into<String>) -> FaultPlan {
+        self.target = Some(function.into());
+        self
+    }
+
     /// The armed rate of a site, in permille.
     pub fn rate(&self, site: FaultSite) -> u16 {
         self.rates[Self::index(site)]
@@ -136,10 +152,17 @@ impl FaultPlan {
     /// of call order and of every other `(site, key)` decision.
     pub fn fires(&self, site: FaultSite, key: &str) -> bool {
         let rate = self.rate(site);
-        if rate == 0 {
+        if rate == 0 || !self.targets(key) {
             return false;
         }
         self.draw(site, key).below(1000) < u64::from(rate)
+    }
+
+    fn targets(&self, key: &str) -> bool {
+        self.target.as_deref().is_none_or(|f| {
+            key.strip_prefix(f)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+        })
     }
 
     /// For retryable I/O sites: how many consecutive attempts fail
@@ -256,6 +279,58 @@ mod tests {
         }
         let off = FaultPlan::new(11);
         assert_eq!(off.failure_count(FaultSite::CacheRead, "x", 3), 0);
+    }
+
+    #[test]
+    fn targeted_plans_fire_for_the_named_function_only() {
+        let p = FaultPlan::new(5)
+            .arm(FaultSite::PhasePanic, 1000)
+            .arm(FaultSite::Overrun, 1000)
+            .only_for("tak");
+        assert!(p.fires(FaultSite::Overrun, "tak"));
+        assert!(p.fires(FaultSite::PhasePanic, "tak/Preliminary"));
+        for other in [
+            "takeuchi",
+            "ta",
+            "fib",
+            "fib/tak",
+            "tak-",
+            "00000000000000ab",
+        ] {
+            assert!(!p.fires(FaultSite::Overrun, other), "{other}");
+            assert!(!p.fires(FaultSite::PhasePanic, other), "{other}");
+        }
+        // Disarmed sites stay disarmed for the target too.
+        assert!(!p.fires(FaultSite::Miscompile, "tak"));
+        // Order-independent, and a pure function of the arming: the
+        // target's decisions match the untargeted plan's.
+        let wide = FaultPlan::new(5).arm(FaultSite::PhasePanic, 300);
+        let aimed = wide.clone().only_for("tak");
+        let keys: Vec<String> = [
+            "Preliminary",
+            "Source-level optimization",
+            "Code generation",
+        ]
+        .iter()
+        .map(|phase| format!("tak/{phase}"))
+        .collect();
+        let forward: Vec<bool> = keys
+            .iter()
+            .map(|k| aimed.fires(FaultSite::PhasePanic, k))
+            .collect();
+        let mut backward: Vec<bool> = keys
+            .iter()
+            .rev()
+            .map(|k| aimed.fires(FaultSite::PhasePanic, k))
+            .collect();
+        backward.reverse();
+        assert_eq!(forward, backward);
+        for k in &keys {
+            assert_eq!(
+                aimed.fires(FaultSite::PhasePanic, k),
+                wide.fires(FaultSite::PhasePanic, k)
+            );
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn storm_config(seed: u64, dir: Option<PathBuf>) -> ServiceConfig {
     ServiceConfig {
         jobs: 4,
         guard: true,
-        time_budget: Some(Duration::from_millis(400)),
+        pass_budget: Some(Duration::from_millis(400)),
         fault_plan: Some(
             FaultPlan::new(seed)
                 .arm(FaultSite::PhasePanic, 10)

@@ -4,7 +4,7 @@
 
 use s1lisp::Compiler;
 use s1lisp_bench::service_units;
-use s1lisp_driver::{CompileService, FaultInjection, FaultMode, ServiceConfig, SourceUnit};
+use s1lisp_driver::{CompileService, FaultPlan, FaultSite, ServiceConfig, SourceUnit};
 use s1lisp_server::{
     Body, CompileServer, Op, QueueConfig, ServeClient, ServerConfig, ServerHandle,
 };
@@ -297,10 +297,11 @@ fn incident_budget_demotes_only_the_offending_tenant() {
     let handle = start(ServerConfig {
         incident_budget: 1,
         service: ServiceConfig {
-            fault: Some(FaultInjection {
-                function: "boom".into(),
-                mode: FaultMode::Panic,
-            }),
+            fault_plan: Some(
+                FaultPlan::new(0)
+                    .arm(FaultSite::PhasePanic, 1000)
+                    .only_for("boom"),
+            ),
             ..ServiceConfig::default()
         },
         ..ServerConfig::default()
@@ -347,6 +348,76 @@ fn incident_budget_demotes_only_the_offending_tenant() {
         artifacts[0].transformations > 0,
         "the bystander keeps source-level optimization"
     );
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// A demoted tenant's `run` replays its sources under the options its
+/// compiles ran with — transformations off — not the full optimizer.
+/// With the fuel set between the optimized and the unoptimized
+/// instruction counts of one call (measured in-process), the demoted tenant runs out of fuel
+/// while a healthy tenant answers.
+#[test]
+fn demoted_tenant_runs_with_transformations_off() {
+    const SPIN: &str = "(defun spin (n acc)
+                          (if (zerop n) acc (spin (- n 1) (+ acc (if (null nil) 1 2)))))";
+    let service = ServiceConfig {
+        fault_plan: Some(
+            FaultPlan::new(0)
+                .arm(FaultSite::PhasePanic, 1000)
+                .only_for("boom"),
+        ),
+        ..ServiceConfig::default()
+    };
+    let insns = |options: s1lisp_driver::PipelineOptions| {
+        let mut c = Compiler::with_options(options);
+        c.compile_str(SPIN).unwrap();
+        let mut m = c.machine();
+        let value = m
+            .run(
+                "spin",
+                &[s1lisp::Value::Fixnum(50), s1lisp::Value::Fixnum(0)],
+            )
+            .unwrap();
+        assert_eq!(value.to_string(), "50");
+        // Fuel meters dispatched instructions (runtime-call costs are
+        // charged to the statistics only), so count what it consumed.
+        m.fuel_per_run - m.fuel
+    };
+    let options = service.pipeline_options().unguarded();
+    let optimized = insns(options.clone());
+    let unoptimized = insns(options.transformations_off());
+    assert!(optimized < unoptimized, "{optimized} vs {unoptimized}");
+
+    let handle = start(ServerConfig {
+        incident_budget: 1,
+        run_fuel: (optimized + unoptimized) / 2,
+        service,
+        ..ServerConfig::default()
+    });
+    let mut client = connect(&handle);
+    let run_value = |client: &mut ServeClient| {
+        assert!(client.compile("spin", SPIN).unwrap().ok);
+        let resp = client.run("spin", &["50", "0"]).unwrap();
+        assert!(resp.ok, "{:?}", resp.error);
+        let Body::Run { value } = resp.body else {
+            panic!("run body expected");
+        };
+        value
+    };
+
+    assert!(client.hello("victim", None).unwrap().ok);
+    let faulted = client.compile("boom", "(defun boom (x) (* x x))").unwrap();
+    assert_eq!(faulted.slo.incident_kind.as_deref(), Some("panic"));
+    let demoted = run_value(&mut client);
+    assert!(
+        demoted.starts_with("trap:") && demoted.contains("budget exhausted"),
+        "{demoted}"
+    );
+
+    assert!(client.hello("bystander", None).unwrap().ok);
+    assert_eq!(run_value(&mut client), "50");
 
     handle.shutdown();
     handle.join();
