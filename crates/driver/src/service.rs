@@ -526,10 +526,13 @@ pub struct CompileService {
     job_wall_us: Histogram,
 }
 
-/// The cache key: the converted tree's structural fingerprint mixed
-/// with the option fingerprint.
-fn cache_key(tree_fp: u64, options_fp: u64) -> u64 {
+/// The cache key: the function's name, the converted tree's structural
+/// fingerprint and the option fingerprint.  The tree does not carry the
+/// `defun` name, and an artifact does (its name, listing and dossier),
+/// so two functions with equal bodies must not share an entry.
+fn cache_key(name: &str, tree_fp: u64, options_fp: u64) -> u64 {
     let mut h = Fnv1a64::new();
+    h.write_str(name);
     h.write_u64(tree_fp);
     h.write_u64(options_fp);
     h.finish()
@@ -679,7 +682,8 @@ fn process_job(
             // the same function compiles to byte-identical artifacts for
             // every tenant — the server-vs-`compile_batch` equivalence
             // contract.
-            let fingerprint = cache_key(p.tree_fingerprint(), c.options_fingerprint());
+            let fingerprint =
+                cache_key(&job.fn_name, p.tree_fingerprint(), c.options_fingerprint());
             let key = fingerprint ^ job.salt;
             if let Some(mut hit) = cache.get(key) {
                 hit.fingerprint = fingerprint;

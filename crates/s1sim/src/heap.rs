@@ -27,15 +27,36 @@ pub enum ObjKind {
     Block,
 }
 
+/// The fill word of a never-written heap address (and of a swept one).
+const FILL: Word = Word::Ptr(Tag::Gc, 0);
+
 /// The heap: a word array with a bump/free-list allocator.
+///
+/// The heap has a *logical capacity*, fixed at construction, and a
+/// *materialized prefix*, the words that exist in host memory.  The
+/// prefix grows on demand: up to the bump frontier as allocation
+/// reaches it, or up to an address written beyond it.  Reading an
+/// address below the capacity but past the prefix yields the fill word,
+/// exactly as if the whole capacity had been filled up front.  So a
+/// machine that touches a few hundred words costs a few hundred words,
+/// not the capacity.
+///
+/// Only the capacity decides when a collection runs: [`Heap::headroom`]
+/// and the bump limit in [`Heap::try_alloc`] are measured against it,
+/// so collections fire at the same allocation however far the prefix
+/// has grown.
 #[derive(Clone, Debug)]
 pub struct Heap {
+    /// The materialized prefix (`len() <= capacity`).
     words: Vec<Word>,
+    /// The logical size in words.
+    capacity: usize,
     /// Next never-used address (bump frontier).
     frontier: usize,
     /// Free blocks from previous collections: (address, size).
     free: Vec<(usize, usize)>,
-    /// Mark bits, one per word (object marks live on the header word).
+    /// Mark bits, one per materialized word (object marks live on the
+    /// header word).
     marks: Vec<bool>,
     /// Allocation counters by kind.
     pub allocs: AllocStats,
@@ -130,16 +151,35 @@ impl AllocStats {
 }
 
 impl Heap {
-    /// A heap of `capacity` words.
+    /// A heap of `capacity` words.  Host memory for them is reserved
+    /// here but filled only as the heap is used.
     pub fn new(capacity: usize) -> Heap {
         assert!((capacity as u64) < STACK_BASE, "heap too large");
-        Heap {
-            words: vec![Word::Ptr(Tag::Gc, 0); capacity],
+        let mut heap = Heap {
+            words: Vec::with_capacity(capacity),
+            capacity,
             frontier: 1, // address 0 is reserved (nil's address)
             free: Vec::new(),
-            marks: vec![false; capacity],
+            marks: Vec::with_capacity(capacity),
             allocs: AllocStats::default(),
             telemetry: HeapTelemetry::default(),
+        };
+        heap.materialize(heap.frontier.min(capacity));
+        heap
+    }
+
+    /// Grows the materialized prefix to cover addresses below `end`.
+    /// Panics past the capacity, as an out-of-range index always has.
+    fn materialize(&mut self, end: usize) {
+        if end > self.words.len() {
+            assert!(
+                end <= self.capacity,
+                "heap address {} out of range (capacity {})",
+                end - 1,
+                self.capacity
+            );
+            self.words.resize(end, FILL);
+            self.marks.resize(end, false);
         }
     }
 
@@ -190,9 +230,10 @@ impl Heap {
         }
     }
 
-    /// Words still available without collecting.
+    /// Words still available without collecting, measured against the
+    /// logical capacity (never the materialized prefix).
     pub fn headroom(&self) -> usize {
-        (self.words.len() - self.frontier) + self.free.iter().map(|&(_, s)| s).sum::<usize>()
+        (self.capacity - self.frontier) + self.free.iter().map(|&(_, s)| s).sum::<usize>()
     }
 
     /// Attempts to allocate `size` words, returning the base address, or
@@ -208,9 +249,10 @@ impl Heap {
             let (addr, s) = self.free.swap_remove(pos);
             self.free.push((addr + size, s - size));
             addr
-        } else if self.frontier + size <= self.words.len() {
+        } else if self.frontier + size <= self.capacity {
             let addr = self.frontier;
             self.frontier += size;
+            self.materialize(self.frontier);
             addr
         } else {
             return None;
@@ -227,14 +269,29 @@ impl Heap {
         Some(addr as u64)
     }
 
-    /// Reads heap word `addr`.
+    /// Reads heap word `addr`: the fill word past the materialized
+    /// prefix.  Panics at or past the capacity.
     pub fn read(&self, addr: u64) -> Word {
-        self.words[addr as usize]
+        let i = addr as usize;
+        match self.words.get(i) {
+            Some(&w) => w,
+            None => {
+                assert!(
+                    i < self.capacity,
+                    "heap address {i} out of range (capacity {})",
+                    self.capacity
+                );
+                FILL
+            }
+        }
     }
 
-    /// Writes heap word `addr`.
+    /// Writes heap word `addr`, materializing the prefix up to it.
+    /// Panics at or past the capacity.
     pub fn write(&mut self, addr: u64, w: Word) {
-        self.words[addr as usize] = w;
+        let i = addr as usize;
+        self.materialize(i + 1);
+        self.words[i] = w;
     }
 
     /// Runs a mark–sweep collection.  `roots` yields every word the
@@ -243,13 +300,15 @@ impl Heap {
     pub fn collect(&mut self, roots: &[Word]) -> usize {
         self.allocs.collections += 1;
         let mark_start = std::time::Instant::now();
-        self.marks.iter_mut().for_each(|m| *m = false);
+        self.marks.fill(false);
         let mut work: Vec<(u64, usize)> = roots
             .iter()
             .filter_map(|&r| object_extent(self, r))
             .collect();
         // Mark.
         while let Some((addr, size)) = work.pop() {
+            // A reference into the unmaterialized tail marks fill words.
+            self.materialize(addr as usize + size);
             if self.marks[addr as usize] {
                 continue;
             }
@@ -280,7 +339,7 @@ impl Heap {
             }
             let start = i;
             while i < self.frontier && !self.marks[i] {
-                self.words[i] = Word::Ptr(Tag::Gc, 0);
+                self.words[i] = FILL;
                 i += 1;
             }
             let len = i - start;
@@ -309,8 +368,8 @@ fn object_extent(heap: &Heap, w: Word) -> Option<(u64, usize)> {
             let size = match tag {
                 Tag::SingleFlonum | Tag::Cell => 1,
                 Tag::Cons => 2,
-                Tag::Closure => match heap.words.get(addr as usize) {
-                    Some(Word::Raw(n)) => *n as usize,
+                Tag::Closure => match heap.read(addr) {
+                    Word::Raw(n) => n as usize,
                     _ => 1,
                 },
                 _ => return None,
@@ -334,6 +393,34 @@ mod tests {
         assert_eq!(h.allocs.conses, 1);
         assert_eq!(h.allocs.flonums, 1);
         assert_eq!(h.allocs.words, 3);
+    }
+
+    #[test]
+    fn unmaterialized_words_read_as_fill_and_capacity_sets_headroom() {
+        let mut h = Heap::new(1024);
+        assert_eq!(h.words.len(), 1, "construction touches only address 0");
+        assert_eq!(h.headroom(), 1023);
+        // Below the capacity but past the frontier: the fill word.
+        assert_eq!(h.read(1000), Word::Ptr(Tag::Gc, 0));
+        let a = h.try_alloc(2, ObjKind::Cons).unwrap();
+        assert_eq!(a, 1);
+        assert_eq!(h.words.len(), 3, "the prefix follows the frontier");
+        assert_eq!(h.headroom(), 1021, "headroom counts the capacity");
+        // A write past the prefix materializes up to it and leaves the
+        // words in between, and the headroom, as they were.
+        h.write(500, Word::fixnum(7));
+        assert_eq!(h.words.len(), 501);
+        assert_eq!(h.read(500), Word::fixnum(7));
+        assert_eq!(h.read(499), Word::Ptr(Tag::Gc, 0));
+        assert_eq!(h.headroom(), 1021);
+        // The bump limit is the capacity: exactly as many conses fit as
+        // in a fully filled heap of the same size.
+        let mut n = 1;
+        while h.try_alloc(2, ObjKind::Cons).is_some() {
+            n += 1;
+        }
+        assert_eq!(n, 1023 / 2);
+        assert_eq!(h.words.len(), 1023);
     }
 
     #[test]

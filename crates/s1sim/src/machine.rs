@@ -187,7 +187,8 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// A machine with default sizes (64 Ki-word stack, 1 Mi-word heap).
+    /// A machine with default sizes (64 Ki-word stack, 1 Mi-word heap;
+    /// the heap's words are materialized on demand, see [`Heap`]).
     pub fn new(program: Program) -> Machine {
         Machine::with_sizes(program, 1 << 16, 1 << 20)
     }

@@ -84,6 +84,9 @@ impl ServeClient {
     /// Propagates the connect failure.
     pub fn connect(addr: &str) -> io::Result<ServeClient> {
         let stream = TcpStream::connect(addr)?;
+        // Requests are whole frames; never hold one for the server's
+        // delayed ACK.
+        stream.set_nodelay(true)?;
         let r = stream.try_clone()?;
         Ok(ServeClient::from_parts(Box::new(r), Box::new(stream), None))
     }

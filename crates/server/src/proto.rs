@@ -10,7 +10,9 @@
 //! Every response — success, failure, or backpressure rejection —
 //! carries the same fixed surface: `ok`, `error`, `retry_after_ms`, and
 //! the per-request SLO block `{degraded, incident_kind, queue_wait_us,
-//! wall_us}`.  There is no response without an SLO verdict.
+//! wall_us, replay_us, machine_us, execute_us, compile_us, journal_us}`
+//! (the layer fields are zero for ops they do not apply to).  There is
+//! no response without an SLO verdict.
 
 use std::io::{self, Read, Write};
 
@@ -21,7 +23,13 @@ use s1lisp_trace::json::Json;
 /// not look like an allocation request.
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single `write_all`.
+///
+/// The prefix and the payload go out in one buffer: written separately,
+/// the payload of a small frame waits behind the prefix for the peer's
+/// delayed ACK (Nagle's algorithm holds a second small segment while
+/// the first is unacknowledged), which costs tens of milliseconds per
+/// response on a socket without `TCP_NODELAY`.
 ///
 /// # Errors
 ///
@@ -34,8 +42,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
         ));
     }
     let len = u32::try_from(payload.len()).expect("bounded above");
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -242,9 +252,35 @@ pub struct Slo {
     pub queue_wait_us: u64,
     /// Time a worker spent serving it, in microseconds.
     pub wall_us: u64,
+    /// `run`: replaying the tenant's compiled sources into a fresh
+    /// compiler, in microseconds.
+    pub replay_us: u64,
+    /// `run`: building the simulator `Machine` for the replayed
+    /// program, in microseconds.
+    pub machine_us: u64,
+    /// `run`: executing the entry on that machine, in microseconds.
+    pub execute_us: u64,
+    /// `compile`: the batch compile of the unit, in microseconds.
+    pub compile_us: u64,
+    /// `compile`: appending (and fsyncing) the journal record, plus
+    /// any snapshot it triggered, in microseconds.
+    pub journal_us: u64,
 }
 
 impl Slo {
+    /// The layer fields that apply to the request's op, summed.  Each
+    /// layer is timed inside `wall_us`, so this never exceeds it.
+    pub fn layers_us(&self) -> u64 {
+        self.replay_us + self.machine_us + self.execute_us + self.compile_us + self.journal_us
+    }
+
+    /// The part of `wall_us` no layer field claims: locking, argument
+    /// parsing, building the response.  Together with the layer fields
+    /// it sums to `wall_us`.
+    pub fn unattributed_us(&self) -> u64 {
+        self.wall_us.saturating_sub(self.layers_us())
+    }
+
     fn to_json(&self) -> Json {
         obj(vec![
             ("degraded", Json::Bool(self.degraded)),
@@ -254,11 +290,19 @@ impl Slo {
             ),
             ("queue_wait_us", Json::uint(self.queue_wait_us)),
             ("wall_us", Json::uint(self.wall_us)),
+            ("replay_us", Json::uint(self.replay_us)),
+            ("machine_us", Json::uint(self.machine_us)),
+            ("execute_us", Json::uint(self.execute_us)),
+            ("compile_us", Json::uint(self.compile_us)),
+            ("journal_us", Json::uint(self.journal_us)),
         ])
     }
 
+    /// Parses the wire form.  The layer fields are optional (zero when
+    /// absent), so frames from servers that predate them still parse.
     fn from_json(j: &Json) -> Option<Slo> {
         let n = |key: &str| u64::try_from(j.get(key)?.as_int()?).ok();
+        let layer = |key: &str| n(key).unwrap_or(0);
         Some(Slo {
             degraded: j.get("degraded")?.as_bool()?,
             incident_kind: j
@@ -267,6 +311,11 @@ impl Slo {
                 .map(str::to_string),
             queue_wait_us: n("queue_wait_us")?,
             wall_us: n("wall_us")?,
+            replay_us: layer("replay_us"),
+            machine_us: layer("machine_us"),
+            execute_us: layer("execute_us"),
+            compile_us: layer("compile_us"),
+            journal_us: layer("journal_us"),
         })
     }
 }
@@ -518,6 +567,37 @@ mod tests {
         assert!(read_frame(&mut &huge[..]).is_err());
     }
 
+    /// A writer that counts the calls it sees.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, b"{\"id\":1}").unwrap();
+        assert_eq!(w.writes, 1, "prefix and payload must share one write");
+        write_frame(&mut w, b"").unwrap();
+        assert_eq!(w.writes, 2);
+        let mut r = &w.bytes[..];
+        assert_eq!(read_frame(&mut r).unwrap(), Some(b"{\"id\":1}".to_vec()));
+        assert_eq!(read_frame(&mut r).unwrap(), Some(Vec::new()));
+    }
+
     #[test]
     fn requests_round_trip_through_the_wire_form() {
         let cases = vec![
@@ -579,8 +659,12 @@ mod tests {
             slo: Slo {
                 degraded: true,
                 incident_kind: Some("panic".into()),
-                queue_wait_us: 0,
-                wall_us: 0,
+                queue_wait_us: 3,
+                wall_us: 40,
+                replay_us: 11,
+                machine_us: 7,
+                execute_us: 5,
+                ..Slo::default()
             },
             body: Body::None,
         };
@@ -606,5 +690,13 @@ mod tests {
         let legacy = text.replace("\"durable\":true,", "");
         let parsed = json::parse(&legacy).expect("well-formed JSON");
         assert!(!Response::from_json(&parsed).unwrap().durable);
+        // An slo block without the layer fields parses with them zero.
+        let legacy = r#"{"id":1,"op":"ping","ok":true,"slo":{"degraded":false,"incident_kind":null,"queue_wait_us":4,"wall_us":9}}"#;
+        let parsed = json::parse(legacy).expect("well-formed JSON");
+        let slo = Response::from_json(&parsed).unwrap().slo;
+        assert_eq!(
+            (slo.wall_us, slo.layers_us(), slo.unattributed_us()),
+            (9, 0, 9)
+        );
     }
 }

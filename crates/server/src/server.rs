@@ -20,7 +20,11 @@
 //! # SLO accounting
 //!
 //! `queue_wait_us` is enqueue → claim; `wall_us` is claim → response
-//! built.  `degraded` is true when the tenant is demoted *or* any
+//! built.  Inside `wall_us`, a `run` reports its layers as `replay_us`
+//! (rebuilding the tenant's program), `machine_us` (building the
+//! simulator) and `execute_us`; a `compile` as `compile_us` and
+//! `journal_us`.  What no layer claims is [`Slo::unattributed_us`].
+//! `degraded` is true when the tenant is demoted *or* any
 //! artifact in the response came from a degraded recompile, so a client
 //! can always tell whether it got full-strength optimization.
 //! Incidents (compile faults, injected simulator traps) accrue against
@@ -325,6 +329,10 @@ fn spawn_workers(shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
 }
 
 fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
+    // Every response is one frame written whole (`write_frame`), so
+    // there is nothing for Nagle's algorithm to coalesce; with it on, a
+    // response can still wait for the client's delayed ACK.
+    stream.set_nodelay(true)?;
     let reply: Reply = Arc::new(Mutex::new(Box::new(stream.try_clone()?)));
     let mut reader = stream;
     serve_frames(shared, &mut reader, &reply)
@@ -613,7 +621,9 @@ fn serve_compile(shared: &Shared, work: &Work, unit: &str, source: &str, resp: &
         )
     };
     let units = [SourceUnit::new(unit, full_source)];
+    let compile_start = Instant::now();
     let batch = shared.service.compile_batch_with(&units, tuning);
+    resp.slo.compile_us = elapsed_us(compile_start);
     let incidents: Vec<WireIncident> = batch
         .incidents
         .iter()
@@ -640,7 +650,9 @@ fn serve_compile(shared: &Shared, work: &Work, unit: &str, source: &str, resp: &
             // The mutation's journal record is fsynced here, before the
             // worker can frame the success response — the heart of the
             // durability contract.
+            let journal_start = Instant::now();
             durable = journal_mutation(shared, &mut st, unit, source);
+            resp.slo.journal_us = elapsed_us(journal_start);
         }
         for a in &batch.artifacts {
             st.artifacts.insert(a.name.clone(), a.clone());
@@ -693,6 +705,7 @@ fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &
     // and functions exactly, under the options its compiles ran with —
     // transformations off once the tenant is demoted.  The replay runs
     // on the simulator, so it always targets the S-1 backend.
+    let replay_start = Instant::now();
     let mut options = PipelineOptions {
         backend: BackendKind::S1,
         ..shared.config.service.pipeline_options().unguarded()
@@ -708,6 +721,7 @@ fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &
             return;
         }
     }
+    resp.slo.replay_us = elapsed_us(replay_start);
     let mut interner = Interner::new();
     let mut values = Vec::new();
     for a in args {
@@ -720,12 +734,16 @@ fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &
             }
         }
     }
+    let machine_start = Instant::now();
     let mut m = c.machine();
     m.fuel_per_run = shared.config.run_fuel;
+    resp.slo.machine_us = elapsed_us(machine_start);
+    let execute_start = Instant::now();
     let value = match m.run(entry, &values) {
         Ok(v) => v.to_string(),
         Err(t) => format!("trap: {t}"),
     };
+    resp.slo.execute_us = elapsed_us(execute_start);
     resp.body = Body::Run { value };
 }
 

@@ -292,6 +292,43 @@ fn compile_failures_are_isolated_per_function() {
     assert!(batch.failures.is_empty());
 }
 
+/// Functions whose converted trees are equal, and whose names differ,
+/// each get an artifact under their own name — listing and dossier
+/// included — at every worker count, and a warm recompile hits each
+/// function's own entry.
+#[test]
+fn same_tree_functions_keep_their_own_names() {
+    let names = ["twin-a", "twin-b", "twin-c"];
+    let units: Vec<SourceUnit> = names
+        .iter()
+        .map(|&n| SourceUnit::new(n, format!("(defun {n} (x) (+ x 1))")))
+        .collect();
+    for jobs in [1, 2] {
+        let service = CompileService::new(ServiceConfig::with_jobs(jobs));
+        for round in ["cold", "warm"] {
+            let batch = service.compile_batch(&units);
+            assert!(batch.failures.is_empty(), "{:?}", batch.failures);
+            assert_eq!(batch.artifacts.len(), names.len());
+            for (a, n) in batch.artifacts.iter().zip(names) {
+                assert_eq!(a.name, n, "jobs={jobs} {round}");
+                assert!(
+                    a.assembly.contains(&format!(";;; {n} ")),
+                    "jobs={jobs} {round}: {n} got the listing of another function"
+                );
+                assert!(a.dossier.contains(n), "jobs={jobs} {round}: dossier of {n}");
+            }
+            let fps: std::collections::HashSet<u64> =
+                batch.artifacts.iter().map(|a| a.fingerprint).collect();
+            assert_eq!(fps.len(), names.len(), "names must split the key");
+            if round == "warm" {
+                assert_eq!(batch.hit_rate_percent(), 100, "jobs={jobs}");
+            } else {
+                assert_eq!(batch.stats.cache.hits, 0, "jobs={jobs}");
+            }
+        }
+    }
+}
+
 #[test]
 fn split_preserves_unit_level_specials_ordering() {
     // `counter` is proclaimed special *between* the two defuns: `before`

@@ -422,3 +422,70 @@ fn demoted_tenant_runs_with_transformations_off() {
     handle.shutdown();
     handle.join();
 }
+
+/// A request is one round trip, not one round trip plus the peer's
+/// delayed ACK: twenty sequential pings on one connection finish well
+/// inside the time a single Nagle stall per response would take
+/// (about 40 ms each).
+#[test]
+fn sequential_pings_do_not_wait_for_delayed_acks() {
+    let handle = start(ServerConfig::default());
+    let mut client = connect(&handle);
+    assert!(client.hello("pinger", None).unwrap().ok);
+    let start = std::time::Instant::now();
+    for _ in 0..20 {
+        assert!(client.ping().unwrap().ok);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(400),
+        "20 pings took {elapsed:?}"
+    );
+    handle.shutdown();
+    handle.join();
+}
+
+/// The SLO's layer fields and the unattributed remainder sum to
+/// `wall_us`: a durable `compile` reports its compile and journal
+/// layers, a `run` its replay, machine and execute layers, and each
+/// leaves the other op's layers at zero.
+#[test]
+fn slo_layers_sum_to_wall_time() {
+    let dir = std::env::temp_dir().join(format!("s1lisp-serve-slo-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = start(ServerConfig {
+        state_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = connect(&handle);
+    assert!(client.hello("layers", None).unwrap().ok);
+    let compiled = client
+        .compile("sq", "(defun sq (x) (* x x)) (defun inc (x) (+ x 1))")
+        .unwrap();
+    assert!(compiled.ok && compiled.durable, "{:?}", compiled.error);
+    let ran = client.run("sq", &["12"]).unwrap();
+    assert_eq!(
+        ran.body,
+        Body::Run {
+            value: "144".into()
+        }
+    );
+    for resp in [&compiled, &ran] {
+        let slo = &resp.slo;
+        assert!(slo.layers_us() <= slo.wall_us, "{} {slo:?}", resp.op);
+        assert_eq!(slo.layers_us() + slo.unattributed_us(), slo.wall_us);
+    }
+    let c = &compiled.slo;
+    assert!(c.compile_us > 0 && c.journal_us > 0, "{c:?}");
+    assert_eq!((c.replay_us, c.machine_us, c.execute_us), (0, 0, 0));
+    let r = &ran.slo;
+    assert!(r.replay_us > 0, "{r:?}");
+    assert_eq!(
+        r.replay_us + r.machine_us + r.execute_us,
+        r.layers_us(),
+        "{r:?}"
+    );
+    handle.shutdown();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
