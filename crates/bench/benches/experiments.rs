@@ -85,7 +85,7 @@ fn bench_bool() {
 fn bench_pdl() {
     for (name, pdl) in [("on", true), ("off", false)] {
         let mut compiler = Compiler::new();
-        compiler.codegen_options = CodegenOptions {
+        compiler.options.codegen_options = CodegenOptions {
             pdl_numbers: pdl,
             ..CodegenOptions::default()
         };
@@ -101,7 +101,7 @@ fn bench_pdl() {
 fn bench_specials() {
     for (name, cached) in [("cached", true), ("uncached", false)] {
         let mut compiler = Compiler::new();
-        compiler.codegen_options = CodegenOptions {
+        compiler.options.codegen_options = CodegenOptions {
             cache_specials: cached,
             ..CodegenOptions::default()
         };
@@ -118,7 +118,7 @@ fn bench_specials() {
 fn bench_numeric() {
     for (name, rep) in [("on", true), ("off", false)] {
         let mut compiler = Compiler::new();
-        compiler.codegen_options = CodegenOptions {
+        compiler.options.codegen_options = CodegenOptions {
             representation_analysis: rep,
             ..CodegenOptions::default()
         };

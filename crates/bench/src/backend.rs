@@ -13,7 +13,9 @@
 //! `tests/golden/backend_schema.txt`.
 
 use s1lisp::{BackendKind, Compiler};
-use s1lisp_driver::{BackendSelect, BatchResult, CompileService, ServiceConfig, SourceUnit};
+use s1lisp_driver::{
+    BackendSelect, BatchResult, CompileService, OracleVerdict, ServiceConfig, SourceUnit,
+};
 use s1lisp_trace::json::Json;
 
 use crate::service::{oracle_cases, service_units};
@@ -69,19 +71,7 @@ pub fn backend_record() -> Json {
         unit_rows(unit, &mut functions);
     }
     let batch = backend_batch();
-    let oracle = batch
-        .cross
-        .iter()
-        .map(|v| {
-            obj(vec![
-                ("entry", Json::str(&v.entry)),
-                ("matched", Json::Bool(v.matched)),
-                ("s1", Json::str(&v.s1)),
-                ("bytecode", Json::str(&v.bytecode)),
-                ("injected", Json::Bool(v.injected)),
-            ])
-        })
-        .collect();
+    let oracle = batch.oracle.iter().map(OracleVerdict::to_json).collect();
     let miscompiles = batch
         .incidents
         .iter()
@@ -109,12 +99,14 @@ mod tests {
     fn cross_backend_oracle_agrees_over_the_corpus() {
         let batch = backend_batch();
         assert!(batch.failures.is_empty(), "{:?}", batch.failures);
-        assert!(!batch.cross.is_empty());
-        for v in &batch.cross {
+        assert!(!batch.oracle.is_empty());
+        for v in &batch.oracle {
             assert!(
                 v.matched,
-                "{}: s1={} bytecode={}",
-                v.entry, v.s1, v.bytecode
+                "{}: s1={:?} bytecode={:?}",
+                v.entry,
+                v.outcome("s1"),
+                v.outcome("bytecode")
             );
         }
         assert!(batch
@@ -127,22 +119,30 @@ mod tests {
 
     #[test]
     fn injected_bytecode_miscompile_is_caught_and_ships_s1() {
-        use s1lisp_driver::{FaultPlan, FaultSite, IncidentKind, OracleCase};
+        use s1lisp_driver::{FaultPlan, FaultSite, IncidentKind, OracleCase, PipelineOptions};
         // Every oracle case's bytecode result is perturbed, so the
         // cross-backend oracle must disagree, record a miscompile, and
         // leave the S-1 artifact as the shipped one.
         let cfg = ServiceConfig {
             jobs: 2,
             backend: BackendSelect::Both,
-            fault_plan: Some(FaultPlan::new(7).arm(FaultSite::Miscompile, 1000)),
+            options: PipelineOptions {
+                fault_plan: Some(FaultPlan::new(7).arm(FaultSite::Miscompile, 1000)),
+                ..PipelineOptions::default()
+            },
             oracle: vec![OracleCase::new("quadratic", ["1.0", "-3.0", "2.0"])],
             ..ServiceConfig::default()
         };
         let batch = CompileService::new(cfg).compile_batch(&service_units());
-        assert_eq!(batch.cross.len(), 1);
-        let v = &batch.cross[0];
+        assert_eq!(batch.oracle.len(), 1);
+        let v = &batch.oracle[0];
         assert!(v.injected);
-        assert!(!v.matched, "s1={} bytecode={}", v.s1, v.bytecode);
+        assert!(
+            !v.matched,
+            "s1={:?} bytecode={:?}",
+            v.outcome("s1"),
+            v.outcome("bytecode")
+        );
         let incident = batch
             .incidents
             .iter()

@@ -341,7 +341,8 @@ fn main() {
     // in-flight allowance here).
     let fault_dir = state_dir.join("fault-phase");
     let mut config = durable_config(&fault_dir);
-    config.service.fault_plan = Some(FaultPlan::new(seed).arm(FaultSite::JournalWrite, 400));
+    config.service.options.fault_plan =
+        Some(FaultPlan::new(seed).arm(FaultSite::JournalWrite, 400));
     // Periodic snapshots capture live state wholesale, which would
     // legitimately rescue a mutation whose journal append failed — keep
     // them off so "durable" and "recovered" must match exactly.

@@ -21,9 +21,9 @@
 //! for a persistent artifact cache — run it twice with the same
 //! directory and the second run reports `hit_rate=100%`);
 //! `backend` reports the bytecode backend's per-function code footprint
-//! and the cross-backend oracle verdicts (S-1 on the simulator vs
-//! bytecode on the evaluator; `--backend s1|bytecode|both` selects the
-//! service batch's code generator);
+//! and the oracle verdicts of a `both` batch (the S-1 side on the
+//! simulator vs the `bytecode` side on the evaluator; `--backend
+//! s1|bytecode|both` selects the service batch's code generator);
 //! `serve` runs a scripted two-tenant session against an in-process
 //! compile-server daemon and records every wire response;
 //! `durability` runs a scripted crash drill — a durable burst, a torn
@@ -31,7 +31,7 @@
 //! `service-fault` demonstrates the degraded path with an injected
 //! optimizer panic; `guard` runs the guarded batch under a seeded
 //! deterministic fault storm (phase validators, cache fault injection,
-//! differential oracle); and `guard-miscompile` shows the oracle
+//! the oracle's reference and optimized sides); and `guard-miscompile` shows the oracle
 //! catching a miscompile and shipping the unoptimized artifact.
 //!
 //! `--metrics` (or the `metrics` id under `--json`) runs the pinned

@@ -108,7 +108,7 @@ fn compile(src: &str) -> Compiler {
 
 fn compile_with(src: &str, options: CodegenOptions) -> Compiler {
     let mut c = Compiler::new();
-    c.codegen_options = options;
+    c.options.codegen_options = options;
     c.compile_str(src).expect("experiment source compiles");
     c
 }
@@ -138,7 +138,7 @@ fn e1() -> String {
 
 fn e2() -> String {
     let mut c = Compiler::new();
-    c.opt_options = OptOptions::none();
+    c.options.opt_options = OptOptions::none();
     c.compile_str(corpus::QUADRATIC).unwrap();
     let f = c.function("quadratic").unwrap();
     let mut out =

@@ -12,8 +12,8 @@
 use std::path::PathBuf;
 
 use s1lisp_driver::{
-    BackendSelect, BatchResult, CompileService, FaultPlan, FaultSite, OracleCase, ServiceConfig,
-    SourceUnit,
+    BackendSelect, BatchResult, CompileService, FaultPlan, FaultSite, OracleCase, PipelineOptions,
+    ServiceConfig, SourceUnit,
 };
 use s1lisp_trace::json::Json;
 
@@ -43,7 +43,7 @@ pub fn service_batch(jobs: usize, cache_dir: Option<PathBuf>) -> BatchResult {
 
 /// [`service_batch`] with an explicit backend selection (`report
 /// --backend s1|bytecode|both service`).  `Both` additionally runs the
-/// cross-backend oracle over [`oracle_cases`].
+/// oracle's `bytecode` side over [`oracle_cases`].
 pub fn service_batch_for(
     jobs: usize,
     cache_dir: Option<PathBuf>,
@@ -51,7 +51,7 @@ pub fn service_batch_for(
 ) -> BatchResult {
     let mut cfg = config(jobs, cache_dir);
     cfg.backend = backend;
-    if backend.cross_checked() {
+    if backend == BackendSelect::Both {
         cfg.oracle = oracle_cases();
     }
     CompileService::new(cfg).compile_batch(&service_units())
@@ -86,11 +86,14 @@ pub fn service_record_for(jobs: usize, cache_dir: Option<PathBuf>, backend: Back
 pub fn service_fault_record() -> Json {
     let cfg = ServiceConfig {
         jobs: 4,
-        fault_plan: Some(
-            FaultPlan::new(0)
-                .arm(FaultSite::PhasePanic, 1000)
-                .only_for("quadratic"),
-        ),
+        options: PipelineOptions {
+            fault_plan: Some(
+                FaultPlan::new(0)
+                    .arm(FaultSite::PhasePanic, 1000)
+                    .only_for("quadratic"),
+            ),
+            ..PipelineOptions::default()
+        },
         ..ServiceConfig::default()
     };
     let batch = CompileService::new(cfg).compile_batch(&service_units());
@@ -137,8 +140,11 @@ pub fn guard_batch(seed: u64, cache_dir: Option<PathBuf>) -> BatchResult {
         .arm(FaultSite::Miscompile, 150);
     let cfg = ServiceConfig {
         jobs: 4,
-        guard: true,
-        fault_plan: Some(plan),
+        options: PipelineOptions {
+            guard: true,
+            fault_plan: Some(plan),
+            ..PipelineOptions::default()
+        },
         cache_dir,
         disk_max_entries: Some(8),
         oracle: oracle_cases(),
@@ -167,8 +173,11 @@ pub fn guard_record() -> Json {
 pub fn guard_miscompile_record() -> Json {
     let cfg = ServiceConfig {
         jobs: 2,
-        guard: true,
-        fault_plan: Some(FaultPlan::new(7).arm(FaultSite::Miscompile, 1000)),
+        options: PipelineOptions {
+            guard: true,
+            fault_plan: Some(FaultPlan::new(7).arm(FaultSite::Miscompile, 1000)),
+            ..PipelineOptions::default()
+        },
         oracle: vec![OracleCase::new("quadratic", ["1.0", "-3.0", "2.0"])],
         ..ServiceConfig::default()
     };
@@ -283,7 +292,7 @@ mod tests {
         assert!(batch.incidents.iter().all(|i| i.recovered));
         // The pinned seed produces real incidents and oracle traffic.
         assert!(!batch.incidents.is_empty());
-        assert!(!guard.oracle.is_empty());
+        assert!(!batch.oracle.is_empty());
     }
 
     #[test]

@@ -60,7 +60,7 @@ use s1lisp_reader::{pretty, read_all_str, Interner};
 use s1lisp_trace::NullSink;
 
 /// Hand-bumped artifact-compatibility integer folded into
-/// [`Compiler::options_fingerprint`].  Bump it whenever generated code
+/// [`PipelineOptions::fingerprint`].  Bump it whenever generated code
 /// can change with no option flag changing (primop table edits, cost
 /// model tweaks, encoding changes), so stale disk-cache entries from
 /// older builds become unreachable instead of wrong.
@@ -132,32 +132,12 @@ impl PendingFunction {
 pub struct Compiler {
     /// The symbol interner shared by everything this compiler reads.
     pub interner: Interner,
-    /// Source-level optimization switches.
-    pub opt_options: OptOptions,
-    /// Whether to run the (optional) common sub-expression elimination
-    /// phase (§4.3).
-    pub cse: bool,
-    /// Code-generation switches.
-    pub codegen_options: CodegenOptions,
-    /// Whether to run the branch-tensioning pass over generated code.
-    pub tension_branches: bool,
-    /// Guarded compilation: when on, the tree is validated against the
-    /// Table-2 well-formedness invariants and the §7 back-translation
-    /// round trip after conversion and after the source-level
-    /// transformations; a violation is a [`CompileError::Guard`]
-    /// instead of silently emitted code.
-    pub guard: bool,
-    /// Seeded fault plan for deterministic failure drills; `None` (the
-    /// default) injects nothing.
-    pub fault_plan: Option<FaultPlan>,
-    /// Per-pass wall-clock budget: a pipeline pass that runs longer
-    /// than this fails the function with [`CompileError::Overrun`]
-    /// naming the pass.  `None` (the default) never times out.
-    pub pass_budget: Option<std::time::Duration>,
+    /// Every compiler switch: optimization, code generation, guard,
+    /// fault plan and pass budget.
+    pub options: PipelineOptions,
     /// Which code-generation backend closes the pipeline (default:
-    /// the S-1 backend).  Also salts
-    /// [`Compiler::options_fingerprint`], so per-backend artifacts
-    /// never collide in the service's caches.
+    /// the S-1 backend).  Also salts [`PipelineOptions::fingerprint`],
+    /// so per-backend artifacts never collide in the service's caches.
     pub backend: BackendKind,
     /// Artifacts per compiled function, in compilation order.
     pub functions: Vec<CompiledFunction>,
@@ -182,13 +162,7 @@ impl Compiler {
     pub fn new() -> Compiler {
         Compiler {
             interner: Interner::new(),
-            opt_options: OptOptions::default(),
-            cse: false,
-            codegen_options: CodegenOptions::default(),
-            tension_branches: true,
-            guard: false,
-            fault_plan: None,
-            pass_budget: None,
+            options: PipelineOptions::default(),
             backend: BackendKind::default(),
             functions: Vec::new(),
             program: Program::new(),
@@ -201,28 +175,12 @@ impl Compiler {
         }
     }
 
-    /// A compiler configured by a complete option set — the one way a
+    /// A compiler with the given switches and backend — the one way a
     /// [`PipelineOptions`] value (say, a compilation service's) becomes
     /// a compiler.
-    pub fn with_options(options: PipelineOptions) -> Compiler {
-        let PipelineOptions {
-            backend,
-            opt_options,
-            cse,
-            codegen_options,
-            tension_branches,
-            guard,
-            fault_plan,
-            pass_budget,
-        } = options;
+    pub fn with_options(options: PipelineOptions, backend: BackendKind) -> Compiler {
         Compiler {
-            opt_options,
-            cse,
-            codegen_options,
-            tension_branches,
-            guard,
-            fault_plan,
-            pass_budget,
+            options,
             backend,
             ..Compiler::new()
         }
@@ -249,21 +207,10 @@ impl Compiler {
         c
     }
 
-    /// A compiler with *no* optimization: the E12 baseline.
+    /// A compiler with *no* optimization ([`PipelineOptions::unoptimized`]):
+    /// the E12 baseline.
     pub fn unoptimized() -> Compiler {
-        Compiler {
-            opt_options: OptOptions::none(),
-            codegen_options: CodegenOptions {
-                tail_calls: false,
-                pdl_numbers: false,
-                cache_specials: false,
-                register_allocation: false,
-                representation_analysis: false,
-                backtracking_pack: false,
-            },
-            tension_branches: false,
-            ..Compiler::new()
-        }
+        Compiler::with_options(PipelineOptions::unoptimized(), BackendKind::S1)
     }
 
     /// Compiles every top-level form in `source`, returning the names of
@@ -399,16 +346,7 @@ impl Compiler {
     /// [`Compiler::eval`], and the compilation service all run, and
     /// that `report --passes` and the Table-1 cross-check describe.
     pub fn pipeline(&self) -> Pipeline {
-        Pipeline::from_options(&PipelineOptions {
-            backend: self.backend,
-            opt_options: self.opt_options.clone(),
-            cse: self.cse,
-            codegen_options: self.codegen_options.clone(),
-            tension_branches: self.tension_branches,
-            guard: self.guard,
-            fault_plan: self.fault_plan.clone(),
-            pass_budget: self.pass_budget,
-        })
+        Pipeline::from_options(&self.options, self.backend)
     }
 
     /// Runs one converted function through the whole Table 1 pipeline
@@ -645,55 +583,6 @@ impl Compiler {
             assembly,
             traced,
         })
-    }
-
-    /// A fingerprint of every switch that can change emitted code: the
-    /// source-level optimization options (except `trace`, which only
-    /// affects logging), CSE, the code-generation options, and branch
-    /// tensioning.  Mixed with a tree fingerprint this keys the
-    /// compilation service's artifact cache, so two compilers produce
-    /// the same key exactly when they would produce the same artifact
-    /// for the same converted tree.
-    ///
-    /// The canonical string is salted with the crate version and a
-    /// hand-bumped [`CACHE_SCHEMA_VERSION`], so artifacts cached on disk
-    /// by one build can never satisfy a different build sharing the same
-    /// `--cache-dir` — a primop-table or cost-model change between
-    /// versions silently invalidates every old entry.  Bump the schema
-    /// integer whenever emitted code can change without any option
-    /// changing.
-    pub fn options_fingerprint(&self) -> u64 {
-        let o = &self.opt_options;
-        let g = &self.codegen_options;
-        let canonical = format!(
-            "v:{}/{} opt:{}{}{}{}{}{}{}{}{}{} rounds:{} cse:{} cg:{}{}{}{}{}{} tension:{}",
-            env!("CARGO_PKG_VERSION"),
-            CACHE_SCHEMA_VERSION,
-            u8::from(o.call_lambda),
-            u8::from(o.unused_args),
-            u8::from(o.substitution),
-            u8::from(o.if_distribution),
-            u8::from(o.if_simplify),
-            u8::from(o.if_lift),
-            u8::from(o.constant_fold),
-            u8::from(o.assoc_commut),
-            u8::from(o.sin_to_cycles),
-            u8::from(o.unroll),
-            o.max_rounds,
-            u8::from(self.cse),
-            u8::from(g.tail_calls),
-            u8::from(g.pdl_numbers),
-            u8::from(g.cache_specials),
-            u8::from(g.register_allocation),
-            u8::from(g.representation_analysis),
-            u8::from(g.backtracking_pack),
-            u8::from(self.tension_branches),
-        );
-        // The backend salt keeps per-backend artifacts apart: the same
-        // tree under the same switches emits different code per
-        // backend, so their cache keys must differ too.
-        let canonical = format!("{canonical} backend:{}", self.backend.salt());
-        s1lisp_ast::fnv1a_str(&canonical)
     }
 
     /// The detached, thread-safe [`Artifact`] for a compiled function:
@@ -1159,42 +1048,6 @@ mod artifact_tests {
         let fa = a.convert_str(src).unwrap()[0].tree_fingerprint();
         let fb = b.convert_str(src).unwrap()[0].tree_fingerprint();
         assert_eq!(fa, fb);
-    }
-
-    #[test]
-    fn options_fingerprint_tracks_code_shaping_switches() {
-        let base = Compiler::new().options_fingerprint();
-        assert_eq!(base, Compiler::new().options_fingerprint());
-        assert_ne!(base, Compiler::unoptimized().options_fingerprint());
-        let mut c = Compiler::new();
-        c.cse = true;
-        assert_ne!(base, c.options_fingerprint());
-        let mut c = Compiler::new();
-        c.tension_branches = false;
-        assert_ne!(base, c.options_fingerprint());
-        // The optimizer's trace flag does not shape code.
-        let mut c = Compiler::new();
-        c.opt_options.trace = true;
-        assert_eq!(base, c.options_fingerprint());
-    }
-
-    #[test]
-    fn backend_salts_the_options_fingerprint() {
-        let base = Compiler::new().options_fingerprint();
-        let mut bc = Compiler::new();
-        bc.backend = BackendKind::Bytecode;
-        // Same switches, different backend: the keys must never
-        // collide, or one backend's cached artifacts would satisfy the
-        // other's lookups.
-        assert_ne!(base, bc.options_fingerprint());
-        // Stable per backend.
-        let mut bc2 = Compiler::new();
-        bc2.backend = BackendKind::Bytecode;
-        assert_eq!(bc.options_fingerprint(), bc2.options_fingerprint());
-        // The salt composes with the other switches rather than
-        // replacing them.
-        bc2.cse = true;
-        assert_ne!(bc.options_fingerprint(), bc2.options_fingerprint());
     }
 
     #[test]

@@ -214,9 +214,7 @@ impl BackendKind {
         }
     }
 
-    /// Fingerprint salt folded into
-    /// [`Compiler::options_fingerprint`](crate::Compiler::options_fingerprint)
-    /// so artifacts from different backends can never satisfy each
+    /// Fingerprint salt folded into [`PipelineOptions::fingerprint`] so artifacts from different backends can never satisfy each
     /// other's cache keys.
     pub fn salt(self) -> &'static str {
         self.name()
@@ -300,25 +298,31 @@ pub fn backend_for(kind: BackendKind) -> Box<dyn Backend> {
     }
 }
 
-/// Options a [`Pipeline`] schedule is built from — the code-shaping
-/// switches of [`Compiler`](crate::Compiler), plus the cross-cutting
-/// guard/fault/budget machinery.
-#[derive(Clone, Debug, Default)]
+/// The compiler's switches, declared once: the code-shaping options
+/// (§7 transformations, optional CSE, code generation, branch
+/// tensioning) plus the cross-cutting guard/fault/budget machinery.
+/// A [`Compiler`](crate::Compiler) and a compilation service each hold
+/// one of these; with a [`BackendKind`] it builds a [`Pipeline`] and
+/// keys the artifact cache ([`PipelineOptions::fingerprint`]).
+#[derive(Clone, Debug)]
 pub struct PipelineOptions {
-    /// Which backend closes the schedule.
-    pub backend: BackendKind,
     /// Source-level optimization switches.
     pub opt_options: OptOptions,
-    /// Whether the CSE pass runs.
+    /// Whether the (optional) common sub-expression elimination pass
+    /// runs (§4.3).
     pub cse: bool,
     /// Code-generation switches.
     pub codegen_options: CodegenOptions,
     /// Whether the branch-tensioning (peephole) pass runs.
     pub tension_branches: bool,
-    /// Whether the guard validator passes run.
+    /// Guarded compilation: the tree is validated against the Table-2
+    /// well-formedness invariants and the §7 back-translation round
+    /// trip after conversion and after the source-level
+    /// transformations; a violation is a [`CompileError::Guard`]
+    /// instead of silently emitted code.
     pub guard: bool,
-    /// Seeded fault plan for the fault-injection pass; `None` disables
-    /// it.
+    /// Seeded fault plan for the fault-injection pass; `None` (the
+    /// default) injects nothing.
     pub fault_plan: Option<FaultPlan>,
     /// Per-pass wall-clock budget: a pass that runs longer fails the
     /// unit with [`CompileError::Overrun`].  Checked after each pass
@@ -326,14 +330,47 @@ pub struct PipelineOptions {
     /// phase without spawning a thread per function.  A soft budget
     /// suffices because every pass terminates: the §7 optimizer stops
     /// after [`OptOptions::max_rounds`] rounds and the other passes are
-    /// bounded tree walks.
+    /// bounded tree walks.  `None` (the default) never times out.
     pub pass_budget: Option<Duration>,
 }
 
+impl Default for PipelineOptions {
+    /// Every optimization enabled (CSE aside), branches tensioned, no
+    /// guard, fault plan or budget.
+    fn default() -> PipelineOptions {
+        PipelineOptions {
+            opt_options: OptOptions::default(),
+            cse: false,
+            codegen_options: CodegenOptions::default(),
+            tension_branches: true,
+            guard: false,
+            fault_plan: None,
+            pass_budget: None,
+        }
+    }
+}
+
 impl PipelineOptions {
+    /// *No* optimization: the E12 baseline.
+    pub fn unoptimized() -> PipelineOptions {
+        PipelineOptions {
+            opt_options: OptOptions::none(),
+            codegen_options: CodegenOptions {
+                tail_calls: false,
+                pdl_numbers: false,
+                cache_specials: false,
+                register_allocation: false,
+                representation_analysis: false,
+                backtracking_pack: false,
+            },
+            tension_branches: false,
+            ..PipelineOptions::default()
+        }
+    }
+
     /// The same options with every source-level transformation off
     /// ([`OptOptions::none`], CSE off): the degraded retry, a demoted
-    /// tenant, and the differential oracle's reference side.
+    /// tenant, and the oracle's reference side.
     pub fn transformations_off(self) -> PipelineOptions {
         PipelineOptions {
             opt_options: OptOptions::none(),
@@ -344,7 +381,7 @@ impl PipelineOptions {
 
     /// The same options with the guard validators, the fault plan and
     /// the pass budget off: a compile that must run clean (the degraded
-    /// retry, the oracles, a tenant's replay).
+    /// retry, the oracle sides, a tenant's replay).
     pub fn unguarded(self) -> PipelineOptions {
         PipelineOptions {
             guard: false,
@@ -353,13 +390,63 @@ impl PipelineOptions {
             ..self
         }
     }
+
+    /// A fingerprint of every switch that can change emitted code under
+    /// `backend`: the source-level optimization options (except
+    /// `trace`, which only affects logging), CSE, the code-generation
+    /// options, branch tensioning, and the backend itself.  Mixed with
+    /// a tree fingerprint this keys the compilation service's artifact
+    /// cache, so two configurations produce the same key exactly when
+    /// they would produce the same artifact for the same converted
+    /// tree.
+    ///
+    /// The canonical string is salted with the crate version and a
+    /// hand-bumped [`CACHE_SCHEMA_VERSION`](crate::CACHE_SCHEMA_VERSION),
+    /// so artifacts cached on disk by one build can never satisfy a
+    /// different build sharing the same `--cache-dir` — a primop-table
+    /// or cost-model change between versions silently invalidates every
+    /// old entry.  Bump the schema integer whenever emitted code can
+    /// change without any option changing.
+    pub fn fingerprint(&self, backend: BackendKind) -> u64 {
+        let o = &self.opt_options;
+        let g = &self.codegen_options;
+        let canonical = format!(
+            "v:{}/{} opt:{}{}{}{}{}{}{}{}{}{} rounds:{} cse:{} cg:{}{}{}{}{}{} tension:{}",
+            env!("CARGO_PKG_VERSION"),
+            crate::CACHE_SCHEMA_VERSION,
+            u8::from(o.call_lambda),
+            u8::from(o.unused_args),
+            u8::from(o.substitution),
+            u8::from(o.if_distribution),
+            u8::from(o.if_simplify),
+            u8::from(o.if_lift),
+            u8::from(o.constant_fold),
+            u8::from(o.assoc_commut),
+            u8::from(o.sin_to_cycles),
+            u8::from(o.unroll),
+            o.max_rounds,
+            u8::from(self.cse),
+            u8::from(g.tail_calls),
+            u8::from(g.pdl_numbers),
+            u8::from(g.cache_specials),
+            u8::from(g.register_allocation),
+            u8::from(g.representation_analysis),
+            u8::from(g.backtracking_pack),
+            u8::from(self.tension_branches),
+        );
+        // The backend salt keeps per-backend artifacts apart: the same
+        // tree under the same switches emits different code per
+        // backend, so their cache keys must differ too.
+        let canonical = format!("{canonical} backend:{}", backend.salt());
+        s1lisp_ast::fnv1a_str(&canonical)
+    }
 }
 
 // ------------------------------------------------------------- pipeline
 
 /// An ordered schedule of [`Pass`]es with per-pass enablement, built
-/// from a [`PipelineOptions`] and run over each function's
-/// [`UnitState`].
+/// from a [`PipelineOptions`] and a [`BackendKind`], and run over each
+/// function's [`UnitState`].
 pub struct Pipeline {
     passes: Vec<(Box<dyn Pass + Send + Sync>, bool)>,
     pass_budget: Option<Duration>,
@@ -383,8 +470,8 @@ impl Pipeline {
     /// passes, TNBIND + code generation, and the peephole optimizer.
     /// Disabled passes stay in the schedule (so `describe` shows them)
     /// but are skipped by [`Pipeline::run`].  The emission tail comes
-    /// from the selected [`Backend`].
-    pub fn from_options(options: &PipelineOptions) -> Pipeline {
+    /// from `backend`'s [`Backend`].
+    pub fn from_options(options: &PipelineOptions, backend: BackendKind) -> Pipeline {
         let mut passes: Vec<(Box<dyn Pass + Send + Sync>, bool)> = vec![
             (
                 Box::new(FaultTripPass {
@@ -424,7 +511,7 @@ impl Pipeline {
             (Box::new(RepPass), true),
             (Box::new(PdlPass), true),
         ];
-        passes.extend(backend_for(options.backend).passes(options));
+        passes.extend(backend_for(backend).passes(options));
         Pipeline {
             passes,
             pass_budget: options.pass_budget,
@@ -1124,8 +1211,8 @@ mod tests {
         assert!(enabled("Code generation"));
         assert!(enabled("Peephole optimizer"));
         let mut c = Compiler::new();
-        c.cse = true;
-        c.guard = true;
+        c.options.cse = true;
+        c.options.guard = true;
         let infos = c.pipeline().describe();
         let enabled = |name: &str| infos.iter().find(|i| i.name == name).unwrap().enabled;
         assert!(enabled("Guard: conversion"));
@@ -1150,6 +1237,86 @@ mod tests {
         assert_eq!(bc.len(), s1.len() - 1);
         // Everything upstream of the backend is identical.
         assert_eq!(s1[..s1.len() - 2], bc[..bc.len() - 1]);
+    }
+
+    #[test]
+    fn options_fingerprint_tracks_code_shaping_switches() {
+        let fp = |o: &PipelineOptions| o.fingerprint(BackendKind::S1);
+        let base = fp(&PipelineOptions::default());
+        assert_eq!(base, fp(&PipelineOptions::default()));
+        assert_ne!(base, fp(&PipelineOptions::unoptimized()));
+        let cse = PipelineOptions {
+            cse: true,
+            ..PipelineOptions::default()
+        };
+        assert_ne!(base, fp(&cse));
+        let untensioned = PipelineOptions {
+            tension_branches: false,
+            ..PipelineOptions::default()
+        };
+        assert_ne!(base, fp(&untensioned));
+        // The optimizer's trace flag does not shape code.
+        let mut traced = PipelineOptions::default();
+        traced.opt_options.trace = true;
+        assert_eq!(base, fp(&traced));
+    }
+
+    #[test]
+    fn backend_salts_the_options_fingerprint() {
+        let base = PipelineOptions::default().fingerprint(BackendKind::S1);
+        let bc = PipelineOptions::default();
+        // Same switches, different backend: the keys must never
+        // collide, or one backend's cached artifacts would satisfy the
+        // other's lookups.
+        assert_ne!(base, bc.fingerprint(BackendKind::Bytecode));
+        // Stable per backend.
+        let mut bc2 = PipelineOptions::default();
+        assert_eq!(
+            bc.fingerprint(BackendKind::Bytecode),
+            bc2.fingerprint(BackendKind::Bytecode)
+        );
+        // The salt composes with the other switches rather than
+        // replacing them.
+        bc2.cse = true;
+        assert_ne!(
+            bc.fingerprint(BackendKind::Bytecode),
+            bc2.fingerprint(BackendKind::Bytecode)
+        );
+    }
+
+    /// The literal keys of three configurations, as computed before
+    /// the compiler switches were declared once: every artifact cached
+    /// on disk stays reachable.
+    #[test]
+    fn fingerprints_are_pinned_literals() {
+        assert_eq!(
+            PipelineOptions::default().fingerprint(BackendKind::S1),
+            0xb590_ec7b_0198_5db5
+        );
+        assert_eq!(
+            PipelineOptions::unoptimized().fingerprint(BackendKind::S1),
+            0xa3a4_7da4_31b5_ebc0
+        );
+        assert_eq!(
+            PipelineOptions::default().fingerprint(BackendKind::Bytecode),
+            0x5d6d_e95d_4b2c_cf78
+        );
+    }
+
+    /// The default options *are* the default compiler: same key, same
+    /// code.
+    #[test]
+    fn default_options_build_the_default_compiler() {
+        const SRC: &str = "(defun norm (x y) (let ((s (+$f (*$f x x) (*$f y y)))) (sqrt$f s)))";
+        let mut with = Compiler::with_options(PipelineOptions::default(), BackendKind::S1);
+        let mut new = Compiler::new();
+        assert_eq!(
+            with.options.fingerprint(with.backend),
+            new.options.fingerprint(new.backend)
+        );
+        with.compile_str(SRC).unwrap();
+        new.compile_str(SRC).unwrap();
+        assert_eq!(with.disassemble("norm"), new.disassemble("norm"));
     }
 
     #[test]
@@ -1192,7 +1359,7 @@ mod tests {
     #[test]
     fn pass_budget_overrun_is_a_structured_error() {
         let mut c = Compiler::new();
-        c.pass_budget = Some(Duration::ZERO);
+        c.options.pass_budget = Some(Duration::ZERO);
         let err = c
             .compile_str("(defun sq (x) (* x x))")
             .expect_err("zero budget must overrun");
@@ -1207,7 +1374,7 @@ mod tests {
         }
         // A sane budget compiles normally.
         let mut c = Compiler::new();
-        c.pass_budget = Some(Duration::from_secs(60));
+        c.options.pass_budget = Some(Duration::from_secs(60));
         c.compile_str("(defun sq (x) (* x x))").unwrap();
         assert!(c.disassemble("sq").is_some());
     }
@@ -1217,15 +1384,15 @@ mod tests {
         use s1lisp_trace::fault::{FaultPlan, FaultSite};
         let plan = FaultPlan::new(1).arm(FaultSite::Overrun, 1000);
         let mut c = Compiler::new();
-        c.fault_plan = Some(plan.clone());
-        c.pass_budget = Some(Duration::from_millis(5));
+        c.options.fault_plan = Some(plan.clone());
+        c.options.pass_budget = Some(Duration::from_millis(5));
         match c.compile_str("(defun sq (x) (* x x))") {
             Err(CompileError::Overrun(o)) => assert_eq!(o.pass, "Fault injection"),
             other => panic!("expected an overrun, got {other:?}"),
         }
         // With no budget to overrun, the site never fires.
         let mut c = Compiler::new();
-        c.fault_plan = Some(plan);
+        c.options.fault_plan = Some(plan);
         c.compile_str("(defun sq (x) (* x x))").unwrap();
     }
 

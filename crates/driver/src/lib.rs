@@ -13,26 +13,32 @@
 //!   LRU in memory, optionally persisted to disk as JSON.  A cache hit
 //!   skips every phase after Preliminary.
 //! * **Robustness** — per-function panic isolation (`catch_unwind`), an
-//!   optional per-pass time budget ([`ServiceConfig::pass_budget`],
-//!   checked by the pipeline between passes, no thread per job), and
-//!   graceful degradation: a function whose pipeline panics or runs
-//!   over budget is recompiled with transformations off and the fault
-//!   is recorded as an [`Incident`].  A between-pass check suffices
+//!   optional per-pass time budget (`pass_budget` in
+//!   [`ServiceConfig::options`], checked by the pipeline between passes,
+//!   no thread per job), and graceful degradation: a function whose
+//!   pipeline panics or runs over budget is recompiled with
+//!   transformations off and the fault is recorded as an [`Incident`].  A between-pass check suffices
 //!   because every pass terminates: the §7 optimizer is capped by
 //!   `OptOptions::max_rounds` and the other passes are bounded tree
 //!   walks.
 //! * **Observability** — cache hit/miss/evict counters, queue depth,
 //!   per-worker and per-phase totals, one [`JobRecord`] per function,
 //!   all serializable for `report --json service`.
-//! * **Guarded compilation** — with [`ServiceConfig::guard`] set, every
-//!   job runs the phase validators (Table-2 well-formedness and the
-//!   back-translation round trip) and a differential execution oracle
-//!   compares each [`OracleCase`] against a transformations-off
-//!   reference compile on the simulator; a seeded [`FaultPlan`] can
-//!   deterministically inject cache I/O errors, corrupt reads, phase
-//!   panics, pass-budget overruns, and miscompiles to drill the whole
-//!   containment surface ([`GuardReport`]), or aim one fault at one
-//!   function ([`FaultPlan::only_for`]).
+//! * **One oracle** — after the batch, each [`OracleCase`] runs on an
+//!   ordered list of *sides*, each a label, a [`PipelineOptions`] value
+//!   and an engine.  The first side is the reference; every other side
+//!   must agree with it, or the disagreement becomes a miscompile
+//!   [`Incident`] ([`OracleVerdict`]).  `guard` contributes a
+//!   transformations-off `reference` side and an `optimized` side, and
+//!   [`BackendSelect::Both`] a `bytecode` side.
+//! * **Guarded compilation** — with `guard` set in
+//!   [`ServiceConfig::options`], every job also runs the phase
+//!   validators (Table-2 well-formedness and the back-translation round
+//!   trip); a seeded [`FaultPlan`] can deterministically inject cache
+//!   I/O errors, corrupt reads, phase panics, pass-budget overruns, and
+//!   miscompiles to drill the whole containment surface
+//!   ([`GuardReport`]), or aim one fault at one function
+//!   ([`FaultPlan::only_for`]).
 //!
 //! ```
 //! use s1lisp_driver::{CompileService, ServiceConfig, SourceUnit};
@@ -56,12 +62,11 @@ mod service;
 pub use cache::{ArtifactCache, CacheStats};
 pub use s1lisp::{BackendKind, FaultPlan, FaultSite, PipelineOptions};
 pub use service::{
-    unit_decls, BatchResult, BatchStats, CompileService, CrossVerdict, GuardReport, Incident,
-    IncidentKind, JobRecord, OracleVerdict, Outcome, WorkerStats,
+    unit_decls, BatchResult, BatchStats, CompileService, GuardReport, Incident, IncidentKind,
+    JobRecord, OracleVerdict, Outcome, WorkerStats,
 };
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// One compilation unit: a named batch of top-level forms.
 #[derive(Clone, Debug)]
@@ -82,10 +87,9 @@ impl SourceUnit {
     }
 }
 
-/// One differential-oracle case: after a guarded batch, call `entry`
-/// with the given arguments on both the batch-configured compilation
-/// and a transformations-off reference compilation, and demand
-/// identical results.  Arguments are printed datums (`"3"`, `"-1.5"`,
+/// One oracle case: after the batch, call `entry` with the given
+/// arguments on every oracle side and demand that each agrees with the
+/// reference side.  Arguments are printed datums (`"3"`, `"-1.5"`,
 /// `"(1 2)"`) so the configuration stays plain cross-thread data.
 #[derive(Clone, Debug)]
 pub struct OracleCase {
@@ -135,12 +139,11 @@ pub struct BatchTuning {
 ///
 /// [`BackendSelect::Both`] is the cross-backend oracle mode: jobs
 /// compile (and cache, and ship) S-1 artifacts exactly as
-/// [`BackendSelect::S1`] does, and after the batch every
-/// [`OracleCase`] additionally runs on a bytecode compilation of the
-/// same units — S-1 on the simulator against bytecode on the stack
-/// evaluator, under the same fuel.  A disagreement is an
-/// [`IncidentKind::Miscompile`]; the S-1 artifact is what ships either
-/// way.
+/// [`BackendSelect::S1`] does, and the oracle gains a `bytecode` side —
+/// every [`OracleCase`] also runs on a bytecode compilation of the same
+/// units, on the stack evaluator, under the same fuel.  A disagreement
+/// is an [`IncidentKind::Miscompile`]; the S-1 artifact is what ships
+/// either way.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendSelect {
     /// The paper's S-1 backend (code generation + peephole).
@@ -181,40 +184,34 @@ impl BackendSelect {
             BackendSelect::S1 | BackendSelect::Both => BackendKind::S1,
         }
     }
-
-    /// True when the post-batch cross-backend oracle runs.
-    pub fn cross_checked(self) -> bool {
-        self == BackendSelect::Both
-    }
 }
 
-/// Service configuration.  The compiler options become one
-/// [`PipelineOptions`] ([`ServiceConfig::pipeline_options`]) and
-/// participate in the cache key; the rest shape scheduling and
-/// robustness.
+/// Service configuration.  `options` are the compiler switches every
+/// job compiles under; with the primary backend they key the artifact
+/// cache.  The rest shape scheduling, the cache tiers and the oracle.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker threads (`1` = serial on the caller's thread).
     pub jobs: usize,
-    /// Source-level optimization switches for every job.
-    pub opt_options: s1lisp::OptOptions,
-    /// Whether jobs run the CSE phase.
-    pub cse: bool,
-    /// Code-generation switches for every job.
-    pub codegen_options: s1lisp::CodegenOptions,
-    /// Whether jobs run branch tensioning.
-    pub tension_branches: bool,
-    /// Which backend jobs compile with, and whether the post-batch
-    /// cross-backend oracle runs ([`BackendSelect::Both`]).  The
-    /// backend salts the option fingerprint, so the artifact cache is
-    /// partitioned per backend automatically.
+    /// The compiler switches for every job.  Beyond the code-shaping
+    /// ones:
+    /// * `guard` runs the phase validators (well-formedness +
+    ///   back-translation round trip) on every job, routes violations
+    ///   to the degraded path, and adds the oracle's `reference` and
+    ///   `optimized` sides;
+    /// * `fault_plan` arms the cache, phase, overrun and oracle
+    ///   injection sites (the overrun site needs a `pass_budget` to
+    ///   overrun);
+    /// * `pass_budget` is the per-*pass* wall-clock budget: an overrun
+    ///   fails the function with a structured [`s1lisp::PassOverrun`]
+    ///   naming the slow pass, and the service records a timeout
+    ///   incident and takes the degraded path.
+    pub options: PipelineOptions,
+    /// Which backend jobs compile with, and whether the oracle gains a
+    /// `bytecode` side ([`BackendSelect::Both`]).  The backend salts
+    /// the option fingerprint, so the artifact cache is partitioned
+    /// per backend automatically.
     pub backend: BackendSelect,
-    /// Per-*pass* wall-clock budget, enforced by the pipeline itself
-    /// between passes: an overrun fails the function with a structured
-    /// [`s1lisp::PassOverrun`] naming the slow pass, and the service
-    /// records a timeout incident and takes the degraded path.  `None`
-    /// disables it.
-    pub pass_budget: Option<Duration>,
     /// In-memory cache entries to keep (LRU beyond this).
     pub cache_capacity: usize,
     /// Directory for the persistent cache tier; `None` disables it.
@@ -222,40 +219,25 @@ pub struct ServiceConfig {
     /// Bound on entries in the persistent tier (the oldest are swept
     /// after each write); `None` leaves on-disk growth unbounded.
     pub disk_max_entries: Option<usize>,
-    /// Guarded compilation: run the phase validators (well-formedness +
-    /// back-translation round trip) on every job, route violations to
-    /// the degraded path, and run the differential oracle over
-    /// [`ServiceConfig::oracle`] after the batch.
-    pub guard: bool,
-    /// Seeded deterministic fault plan arming the cache, phase,
-    /// overrun, and oracle injection sites (the overrun site needs a
-    /// [`ServiceConfig::pass_budget`] to overrun); `None` injects
-    /// nothing.
-    pub fault_plan: Option<FaultPlan>,
-    /// Differential-oracle cases, run when `guard` is set.
+    /// Oracle cases, run after the batch on every oracle side.
     pub oracle: Vec<OracleCase>,
-    /// Instruction budget per oracle execution (both sides), so a
-    /// diverging or runaway artifact traps instead of hanging.
-    pub oracle_fuel: u64,
+    /// Instruction budget per execution — each oracle side's run of
+    /// each case, and each `run` request of the compile server — so a
+    /// diverging or runaway program traps instead of hanging.
+    pub fuel: u64,
 }
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
             jobs: 1,
-            opt_options: s1lisp::OptOptions::default(),
-            cse: false,
-            codegen_options: s1lisp::CodegenOptions::default(),
-            tension_branches: true,
+            options: PipelineOptions::default(),
             backend: BackendSelect::S1,
-            pass_budget: None,
             cache_capacity: 512,
             cache_dir: None,
             disk_max_entries: None,
-            guard: false,
-            fault_plan: None,
             oracle: Vec::new(),
-            oracle_fuel: 100_000_000,
+            fuel: 100_000_000,
         }
     }
 }
@@ -266,23 +248,6 @@ impl ServiceConfig {
         ServiceConfig {
             jobs,
             ..ServiceConfig::default()
-        }
-    }
-
-    /// The compiler options every job compiles under: the one place a
-    /// `ServiceConfig` becomes a [`s1lisp::Compiler`] configuration.
-    /// Variants derive from it by [`PipelineOptions::transformations_off`]
-    /// and [`PipelineOptions::unguarded`].
-    pub fn pipeline_options(&self) -> PipelineOptions {
-        PipelineOptions {
-            backend: self.backend.primary(),
-            opt_options: self.opt_options.clone(),
-            cse: self.cse,
-            codegen_options: self.codegen_options.clone(),
-            tension_branches: self.tension_branches,
-            guard: self.guard,
-            fault_plan: self.fault_plan.clone(),
-            pass_budget: self.pass_budget,
         }
     }
 }

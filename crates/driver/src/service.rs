@@ -34,7 +34,7 @@ use s1lisp_trace::json::Json;
 use s1lisp_trace::metrics::{Histogram, MetricsRegistry, TIME_BUCKETS_US};
 
 use crate::cache::{ArtifactCache, CacheStats};
-use crate::{BatchTuning, OracleCase, ServiceConfig, SourceUnit};
+use crate::{BackendSelect, BatchTuning, OracleCase, ServiceConfig, SourceUnit};
 
 /// One function's worth of work: everything a worker needs, as plain
 /// data that crosses threads freely.
@@ -52,6 +52,8 @@ struct Job {
     /// XORed into the cache key ([`BatchTuning::key_salt`]); zero for
     /// plain batches, a tenant fingerprint under the compile server.
     salt: u64,
+    /// The backend the job compiles with (the batch's primary one).
+    backend: BackendKind,
 }
 
 /// How one job was resolved.
@@ -89,8 +91,8 @@ pub enum IncidentKind {
     Timeout,
     /// A guarded-compilation validator rejected the tree.
     Guard,
-    /// The differential oracle caught the optimized artifact computing
-    /// a different answer than the reference compile.
+    /// An oracle side computed a different answer than the reference
+    /// side.
     Miscompile,
     /// A durable-state recovery fault: the compile server found a
     /// tenant's on-disk snapshot or journal corrupted mid-log and
@@ -184,58 +186,64 @@ pub struct BatchStats {
     pub phase_totals: Vec<(String, u64, u64)>,
 }
 
-/// One differential-oracle verdict: the printed outcome (value or
-/// trap) of `entry` on the optimized and reference compilations.
+/// One oracle verdict: the printed outcome (value or trap) of `entry`
+/// on every oracle side, the reference side first.
 #[derive(Clone, Debug)]
 pub struct OracleVerdict {
     /// The function that was called.
     pub entry: String,
-    /// True when both compilations agreed.
+    /// True when every side agreed with the reference side.
     pub matched: bool,
-    /// Printed outcome of the batch-configured compilation.
-    pub optimized: String,
-    /// Printed outcome of the transformations-off reference.
-    pub reference: String,
-    /// True when a fault-plan site (`SimTrap`/`Miscompile`) perturbed
-    /// the optimized side.
+    /// True when a fault-plan site (`SimTrap`/`Miscompile`) perturbed a
+    /// non-reference side.
     pub injected: bool,
+    /// `(side label, printed outcome)` per side, reference first.
+    pub sides: Vec<(&'static str, String)>,
 }
 
-/// One cross-backend oracle verdict: the printed outcome of `entry`
-/// under the S-1 backend (on the register simulator) and the bytecode
-/// backend (on the stack evaluator), compiled from the same units with
-/// the same options and run under the same fuel.
-///
-/// Traps agree *as traps*: each engine words its diagnostics
-/// differently (and meters fuel in its own instructions), so two
-/// trapping runs count as a match even when the messages differ.  A
-/// value-vs-value difference, or a value on one side and a trap on the
-/// other, is a miscompile.
-#[derive(Clone, Debug)]
-pub struct CrossVerdict {
-    /// The function that was called.
-    pub entry: String,
-    /// True when the backends agreed.
-    pub matched: bool,
-    /// Printed outcome of the S-1 compilation on the simulator.
-    pub s1: String,
-    /// Printed outcome of the bytecode compilation on the evaluator.
-    pub bytecode: String,
-    /// True when a [`FaultSite::Miscompile`] plan site perturbed the
-    /// bytecode side.
-    pub injected: bool,
+impl OracleVerdict {
+    /// The printed outcome of the side labelled `label`.
+    pub fn outcome(&self, label: &str) -> Option<&str> {
+        self.sides
+            .iter()
+            .find(|(l, _)| *l == label)
+            .map(|(_, out)| out.as_str())
+    }
+
+    /// The machine-readable form in a batch's `oracle` array.
+    pub fn to_json(&self) -> Json {
+        let side = |(label, outcome): &(&str, String)| {
+            json_obj(vec![
+                ("label", Json::str(*label)),
+                ("outcome", Json::str(outcome)),
+            ])
+        };
+        json_obj(vec![
+            ("entry", Json::str(&self.entry)),
+            ("matched", Json::Bool(self.matched)),
+            ("injected", Json::Bool(self.injected)),
+            ("sides", Json::Arr(self.sides.iter().map(side).collect())),
+        ])
+    }
 }
 
-/// The guarded-compilation summary attached to a batch when
-/// [`ServiceConfig::guard`](crate::ServiceConfig::guard) is set.
+fn json_obj(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// The guarded-compilation summary attached to a batch when `guard` is
+/// set in [`ServiceConfig::options`](crate::ServiceConfig::options).
 #[derive(Clone, Debug)]
 pub struct GuardReport {
     /// The fault plan's seed (0 when no plan was armed).
     pub seed: u64,
     /// Armed fault sites as `(site, permille)`.
     pub armed: Vec<(String, u16)>,
-    /// Differential-oracle verdicts, in case order.
-    pub oracle: Vec<OracleVerdict>,
     /// True when persistent disk failures demoted the cache to
     /// memory-only operation during the batch.
     pub disk_disabled: bool,
@@ -247,41 +255,19 @@ pub struct GuardReport {
 impl GuardReport {
     /// The machine-readable form embedded in `report --json guard`.
     pub fn to_json(&self) -> Json {
-        let obj = |fields: Vec<(&str, Json)>| {
-            Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        };
         let armed = self
             .armed
             .iter()
             .map(|(site, rate)| {
-                obj(vec![
+                json_obj(vec![
                     ("site", Json::str(site)),
                     ("permille", Json::uint(u64::from(*rate))),
                 ])
             })
             .collect();
-        let oracle = self
-            .oracle
-            .iter()
-            .map(|v| {
-                obj(vec![
-                    ("entry", Json::str(&v.entry)),
-                    ("matched", Json::Bool(v.matched)),
-                    ("optimized", Json::str(&v.optimized)),
-                    ("reference", Json::str(&v.reference)),
-                    ("injected", Json::Bool(v.injected)),
-                ])
-            })
-            .collect();
-        obj(vec![
+        json_obj(vec![
             ("seed", Json::uint(self.seed)),
             ("armed", Json::Arr(armed)),
-            ("oracle", Json::Arr(oracle)),
             ("disk_disabled", Json::Bool(self.disk_disabled)),
             ("contained", Json::Bool(self.contained)),
         ])
@@ -306,11 +292,12 @@ pub struct BatchResult {
     /// Batch telemetry.
     pub stats: BatchStats,
     /// Guarded-compilation summary; `None` unless the batch ran with
-    /// [`ServiceConfig::guard`](crate::ServiceConfig::guard).
+    /// `guard` set.
     pub guard: Option<GuardReport>,
-    /// Cross-backend oracle verdicts, in case order; empty unless the
-    /// batch ran with [`BackendSelect::Both`](crate::BackendSelect::Both).
-    pub cross: Vec<CrossVerdict>,
+    /// Oracle verdicts, in case order; empty unless the configuration
+    /// has at least two oracle sides (`guard` set, or
+    /// [`BackendSelect::Both`](crate::BackendSelect::Both)).
+    pub oracle: Vec<OracleVerdict>,
 }
 
 impl BatchResult {
@@ -377,15 +364,7 @@ impl BatchResult {
 
     /// The machine-readable form behind `report --json service`.
     pub fn to_json(&self) -> Json {
-        let obj = |fields: Vec<(&str, Json)>| {
-            Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        };
-        let cache = obj(vec![
+        let cache = json_obj(vec![
             ("hits", Json::uint(self.stats.cache.hits)),
             ("misses", Json::uint(self.stats.cache.misses)),
             ("evictions", Json::uint(self.stats.cache.evictions)),
@@ -403,7 +382,7 @@ impl BatchResult {
             .workers
             .iter()
             .map(|w| {
-                obj(vec![
+                json_obj(vec![
                     ("worker", Json::uint(w.worker as u64)),
                     ("jobs", Json::uint(w.jobs)),
                     ("wall_us", Json::uint(w.wall_us)),
@@ -415,7 +394,7 @@ impl BatchResult {
             .phase_totals
             .iter()
             .map(|(phase, spans, wall)| {
-                obj(vec![
+                json_obj(vec![
                     ("phase", Json::str(phase)),
                     ("spans", Json::uint(*spans)),
                     ("wall_us", Json::uint(*wall)),
@@ -426,7 +405,7 @@ impl BatchResult {
             .records
             .iter()
             .map(|r| {
-                obj(vec![
+                json_obj(vec![
                     ("seq", Json::uint(r.seq as u64)),
                     ("unit", Json::str(&r.unit)),
                     ("function", Json::str(&r.function)),
@@ -450,7 +429,7 @@ impl BatchResult {
             .incidents
             .iter()
             .map(|i| {
-                obj(vec![
+                json_obj(vec![
                     ("function", Json::str(&i.function)),
                     ("unit", Json::str(&i.unit)),
                     ("kind", Json::str(i.kind.as_str())),
@@ -463,7 +442,7 @@ impl BatchResult {
             .failures
             .iter()
             .map(|(scope, error)| {
-                obj(vec![
+                json_obj(vec![
                     ("scope", Json::str(scope)),
                     ("error", Json::str(error)),
                 ])
@@ -472,23 +451,12 @@ impl BatchResult {
         let globals = self
             .globals
             .iter()
-            .map(|(name, init)| obj(vec![("name", Json::str(name)), ("init", Json::str(init))]))
-            .collect();
-        let cross = self
-            .cross
-            .iter()
-            .map(|v| {
-                obj(vec![
-                    ("entry", Json::str(&v.entry)),
-                    ("matched", Json::Bool(v.matched)),
-                    ("s1", Json::str(&v.s1)),
-                    ("bytecode", Json::str(&v.bytecode)),
-                    ("injected", Json::Bool(v.injected)),
-                ])
+            .map(|(name, init)| {
+                json_obj(vec![("name", Json::str(name)), ("init", Json::str(init))])
             })
             .collect();
         let artifacts = self.artifacts.iter().map(Artifact::to_json).collect();
-        obj(vec![
+        json_obj(vec![
             ("workers_used", Json::uint(self.stats.workers_used as u64)),
             ("functions", Json::uint(self.stats.functions as u64)),
             ("hit_rate_percent", Json::uint(self.hit_rate_percent())),
@@ -504,7 +472,10 @@ impl BatchResult {
                 "guard",
                 self.guard.as_ref().map_or(Json::Null, GuardReport::to_json),
             ),
-            ("cross", Json::Arr(cross)),
+            (
+                "oracle",
+                Json::Arr(self.oracle.iter().map(OracleVerdict::to_json).collect()),
+            ),
             ("artifacts", Json::Arr(artifacts)),
         ])
     }
@@ -538,12 +509,12 @@ fn cache_key(name: &str, tree_fp: u64, options_fp: u64) -> u64 {
     h.finish()
 }
 
-/// A compiler for one job under `options`: tracing on, the job's
-/// specials proclaimed.
-fn job_compiler(options: &PipelineOptions, specials: &[String]) -> Compiler {
-    let mut c = Compiler::with_options(options.clone());
+/// A compiler for `job` under `options`: the job's backend, tracing on,
+/// the job's specials proclaimed.
+fn job_compiler(options: &PipelineOptions, job: &Job) -> Compiler {
+    let mut c = Compiler::with_options(options.clone(), job.backend);
     c.enable_trace();
-    for s in specials {
+    for s in &job.specials {
         c.proclaim_special(s);
     }
     c
@@ -642,10 +613,7 @@ fn degraded_attempt(
     job: &Job,
     options: &PipelineOptions,
 ) -> Result<(Artifact, PhaseSpans), AttemptErr> {
-    let mut c = job_compiler(
-        &options.clone().transformations_off().unguarded(),
-        &job.specials,
-    );
+    let mut c = job_compiler(&options.clone().transformations_off().unguarded(), job);
     let p = convert(&mut c, job)?;
     let mut artifact = compile(&mut c, p)?;
     artifact.degraded = true;
@@ -670,7 +638,7 @@ fn process_job(
     let start = Instant::now();
     let mut incident = None;
     let mut failure = None;
-    let mut c = job_compiler(options, &job.specials);
+    let mut c = job_compiler(options, job);
     let (outcome, artifact, phase_spans) = match convert(&mut c, job) {
         Err(e) => {
             failure = Some((job.fn_name.clone(), e.detail));
@@ -682,8 +650,11 @@ fn process_job(
             // the same function compiles to byte-identical artifacts for
             // every tenant — the server-vs-`compile_batch` equivalence
             // contract.
-            let fingerprint =
-                cache_key(&job.fn_name, p.tree_fingerprint(), c.options_fingerprint());
+            let fingerprint = cache_key(
+                &job.fn_name,
+                p.tree_fingerprint(),
+                options.fingerprint(job.backend),
+            );
             let key = fingerprint ^ job.salt;
             if let Some(mut hit) = cache.get(key) {
                 hit.fingerprint = fingerprint;
@@ -759,7 +730,7 @@ fn elapsed_us(start: Instant) -> u64 {
 /// estimates 0 — the job still runs (and records its failure) wherever
 /// it lands in the queue.
 fn size_estimate(job: &Job, options: &PipelineOptions) -> u32 {
-    let mut probe = job_compiler(options, &job.specials);
+    let mut probe = job_compiler(options, job);
     match probe.convert_str(&job.form) {
         Ok(pending) if pending.len() == 1 => pending[0].complexity_estimate(),
         _ => 0,
@@ -805,7 +776,7 @@ impl CompileService {
             config.cache_capacity,
             config.cache_dir.clone(),
             config.disk_max_entries,
-            config.fault_plan.clone(),
+            config.options.fault_plan.clone(),
             Arc::clone(&metrics),
         );
         let queue_wait_us = metrics.histogram("service.queue_wait_us", TIME_BUCKETS_US);
@@ -858,7 +829,7 @@ impl CompileService {
     pub fn compile_batch_with(&self, units: &[SourceUnit], tuning: BatchTuning) -> BatchResult {
         // The salt is not a compiler option — it partitions cache keys
         // only — so only the demotion shapes the options.
-        let mut options = self.config.pipeline_options();
+        let mut options = self.config.options.clone();
         if tuning.transformations_off {
             options = options.transformations_off();
         }
@@ -877,6 +848,7 @@ impl CompileService {
         }
         for j in &mut jobs {
             j.salt = tuning.key_salt;
+            j.backend = self.config.backend.primary();
         }
         let functions = jobs.len();
         let queue_peak = functions;
@@ -976,15 +948,13 @@ impl CompileService {
                 phase_totals,
             },
             guard: None,
-            cross: Vec::new(),
+            oracle: Vec::new(),
         };
-        // Cross-backend first, so a guard report's containment verdict
-        // sees any cross-backend miscompile incidents.
-        if self.config.backend.cross_checked() {
-            self.apply_cross_oracle(units, &mut batch);
-        }
-        if self.config.guard {
-            self.apply_guard(units, &mut batch);
+        // The oracle first, so a guard report's containment verdict
+        // sees its miscompile incidents.
+        self.apply_oracle(units, &mut batch);
+        if self.config.options.guard {
+            self.attach_guard_report(&mut batch);
         }
         self.metrics.counter("service.batches").inc();
         self.metrics
@@ -999,37 +969,50 @@ impl CompileService {
         batch
     }
 
-    /// The post-batch guard pass: run the differential oracle over the
-    /// configured cases, convert mismatches into [`IncidentKind::
-    /// Miscompile`] incidents that ship the reference artifact, and
-    /// attach the [`GuardReport`].
-    fn apply_guard(&self, units: &[SourceUnit], batch: &mut BatchResult) {
-        let plan = self
-            .config
-            .fault_plan
-            .clone()
-            .unwrap_or_else(|| FaultPlan::new(0));
-        let mut oracle = Vec::new();
-        if !self.config.oracle.is_empty() {
-            // Two serial compilations of the same units: one with the
-            // batch's options, one with every transformation off.  The
-            // reference side is the ground truth the paper's §7
-            // transformations must preserve.
-            let mut opt_c = self.oracle_compiler(false);
-            let mut ref_c = self.oracle_compiler(true);
-            for u in units {
-                // A unit that fails here already failed in the batch;
-                // the oracle is best-effort over what compiled.
-                let _ = catch_unwind(AssertUnwindSafe(|| opt_c.compile_str(&u.source).map(drop)));
-                let _ = catch_unwind(AssertUnwindSafe(|| ref_c.compile_str(&u.source).map(drop)));
-            }
-            for case in &self.config.oracle {
-                match self.judge_case(case, &plan, &opt_c, &ref_c, batch) {
-                    Ok(verdict) => oracle.push(verdict),
-                    Err(e) => batch.failures.push((format!("oracle {}", case.entry), e)),
+    /// The post-batch oracle: compile every unit once per
+    /// [`oracle_sides`] side, run each configured case on every side
+    /// under [`ServiceConfig::fuel`], and judge each case
+    /// ([`CompileService::judge_case`]).
+    fn apply_oracle(&self, units: &[SourceUnit], batch: &mut BatchResult) {
+        let sides = oracle_sides(&self.config);
+        if sides.len() < 2 || self.config.oracle.is_empty() {
+            return;
+        }
+        let compilers: Vec<Compiler> = sides
+            .iter()
+            .map(|side| {
+                let mut c = Compiler::with_options(side.options.clone(), side.backend);
+                for u in units {
+                    // A unit that fails here already failed in the
+                    // batch; the oracle is best-effort over what
+                    // compiled.
+                    let _ = catch_unwind(AssertUnwindSafe(|| c.compile_str(&u.source).map(drop)));
                 }
+                c
+            })
+            .collect();
+        let plan = self.fault_plan();
+        for case in &self.config.oracle {
+            match self.judge_case(case, &plan, &sides, &compilers, batch) {
+                Ok(verdict) => batch.oracle.push(verdict),
+                Err(e) => batch.failures.push((format!("oracle {}", case.entry), e)),
             }
         }
+    }
+
+    /// The configured fault plan, or an inert one.
+    fn fault_plan(&self) -> FaultPlan {
+        self.config
+            .options
+            .fault_plan
+            .clone()
+            .unwrap_or_else(|| FaultPlan::new(0))
+    }
+
+    /// Attaches the [`GuardReport`], judging containment over every
+    /// incident and failure the batch and its oracle recorded.
+    fn attach_guard_report(&self, batch: &mut BatchResult) {
+        let plan = self.fault_plan();
         let contained = batch.failures.is_empty() && batch.incidents.iter().all(|i| i.recovered);
         batch.guard = Some(GuardReport {
             seed: plan.seed,
@@ -1038,141 +1021,28 @@ impl CompileService {
                 .into_iter()
                 .map(|(site, rate)| (site.to_string(), rate))
                 .collect(),
-            oracle,
             disk_disabled: self.cache.disk_disabled(),
             contained,
         });
     }
 
-    /// A serial compiler for one side of the oracle.
-    fn oracle_compiler(&self, reference: bool) -> Compiler {
-        let options = self.config.pipeline_options().unguarded();
-        Compiler::with_options(if reference {
-            options.transformations_off()
-        } else {
-            options
-        })
-    }
-
-    /// A serial, batch-options compiler for one side of the
-    /// cross-backend oracle.
-    fn backend_compiler(&self, backend: BackendKind) -> Compiler {
-        Compiler::with_options(PipelineOptions {
-            backend,
-            ..self.config.pipeline_options().unguarded()
-        })
-    }
-
-    /// The post-batch cross-backend pass ([`BackendSelect::Both`](crate::BackendSelect::Both)):
-    /// recompile every unit for both backends, run each oracle case on
-    /// the S-1 simulator and the bytecode evaluator under
-    /// [`ServiceConfig::oracle_fuel`], and record any disagreement as a
-    /// [`IncidentKind::Miscompile`].  The batch already holds the S-1
-    /// artifacts, so the safe side is what ships either way.
-    fn apply_cross_oracle(&self, units: &[SourceUnit], batch: &mut BatchResult) {
-        if self.config.oracle.is_empty() {
-            return;
-        }
-        let plan = self
-            .config
-            .fault_plan
-            .clone()
-            .unwrap_or_else(|| FaultPlan::new(0));
-        let mut s1_c = self.backend_compiler(BackendKind::S1);
-        let mut bc_c = self.backend_compiler(BackendKind::Bytecode);
-        for u in units {
-            // A unit that fails here already failed in the batch; the
-            // oracle is best-effort over what compiled.
-            let _ = catch_unwind(AssertUnwindSafe(|| s1_c.compile_str(&u.source).map(drop)));
-            let _ = catch_unwind(AssertUnwindSafe(|| bc_c.compile_str(&u.source).map(drop)));
-        }
-        for case in &self.config.oracle {
-            match self.judge_cross(case, &plan, &s1_c, &bc_c, batch) {
-                Ok(verdict) => batch.cross.push(verdict),
-                Err(e) => batch
-                    .failures
-                    .push((format!("cross-oracle {}", case.entry), e)),
-            }
-        }
-    }
-
-    /// Runs one cross-backend case on both engines and, on a mismatch,
-    /// records a miscompile incident.  Two traps agree as traps — the
-    /// engines word (and meter) their diagnostics differently.
-    fn judge_cross(
-        &self,
-        case: &OracleCase,
-        plan: &FaultPlan,
-        s1_c: &Compiler,
-        bc_c: &Compiler,
-        batch: &mut BatchResult,
-    ) -> Result<CrossVerdict, String> {
-        let mut interner = Interner::new();
-        let mut args = Vec::new();
-        for a in &case.args {
-            let d = read_str(a, &mut interner).map_err(|e| format!("argument {a}: {e}"))?;
-            args.push(Value::from_datum(&d));
-        }
-        let s1 = {
-            let mut m = s1_c.machine();
-            m.fuel_per_run = self.config.oracle_fuel;
-            match m.run(&case.entry, &args) {
-                Ok(v) => v.to_string(),
-                Err(t) => format!("trap: {t}"),
-            }
-        };
-        let mut bytecode = {
-            let mut e = bc_c.evaluator();
-            e.fuel_per_run = self.config.oracle_fuel;
-            match e.run(&case.entry, &args) {
-                Ok(v) => v.to_string(),
-                Err(t) => format!("trap: {t}"),
-            }
-        };
-        let mut injected = false;
-        if plan.fires(FaultSite::Miscompile, &case.entry) {
-            bytecode.push_str(" [injected miscompile]");
-            injected = true;
-        }
-        let both_trap = s1.starts_with("trap:") && bytecode.starts_with("trap:");
-        let matched = both_trap || s1 == bytecode;
-        if !matched {
-            // The batch compiled with the S-1 backend, so the shipped
-            // artifact is already the reference side; recovery here
-            // means confirming it is present.
-            let recovered = batch
-                .artifact(&case.entry)
-                .is_some_and(|a| a.backend == BackendKind::S1.name());
-            let unit = batch
-                .records
-                .iter()
-                .find(|r| r.function == case.entry)
-                .map_or_else(|| "cross-oracle".to_string(), |r| r.unit.clone());
-            batch.incidents.push(Incident {
-                function: case.entry.clone(),
-                unit,
-                kind: IncidentKind::Miscompile,
-                detail: format!("cross-backend mismatch: s1 gave {s1}, bytecode gave {bytecode}"),
-                recovered,
-            });
-        }
-        Ok(CrossVerdict {
-            entry: case.entry.clone(),
-            matched,
-            s1,
-            bytecode,
-            injected,
-        })
-    }
-
-    /// Runs one oracle case on both sides and, on a mismatch, records a
-    /// miscompile incident and ships the reference artifact.
+    /// Runs one case on every side and compares each non-reference side
+    /// with the reference: on the same engine the printed outcomes must
+    /// be equal; across engines two traps also agree, since each engine
+    /// words (and meters) its diagnostics in its own terms.
+    ///
+    /// The fault plan perturbs non-reference sides only: `Miscompile`
+    /// every one, `SimTrap` those on the simulator.  Each disagreeing
+    /// side records one [`IncidentKind::Miscompile`]; when it is the
+    /// side whose artifacts ship, the reference compile's artifact ships
+    /// in its place, marked degraded — the same contract as the
+    /// panic/timeout recovery path.
     fn judge_case(
         &self,
         case: &OracleCase,
         plan: &FaultPlan,
-        opt_c: &Compiler,
-        ref_c: &Compiler,
+        sides: &[Side],
+        compilers: &[Compiler],
         batch: &mut BatchResult,
     ) -> Result<OracleVerdict, String> {
         let mut interner = Interner::new();
@@ -1181,72 +1051,48 @@ impl CompileService {
             let d = read_str(a, &mut interner).map_err(|e| format!("argument {a}: {e}"))?;
             args.push(Value::from_datum(&d));
         }
-        let run = |c: &Compiler, batch: &BatchResult| -> String {
-            // Under the bytecode backend both oracle sides run on the
-            // stack evaluator (the compiler's own globals mirror the
-            // batch's — both come from the same units' `defvar`s).
-            if c.backend == BackendKind::Bytecode {
-                let mut e = c.evaluator();
-                e.fuel_per_run = self.config.oracle_fuel;
-                return match e.run(&case.entry, &args) {
-                    Ok(v) => v.to_string(),
-                    Err(t) => format!("trap: {t}"),
-                };
-            }
-            let mut m = Machine::new(c.program().clone());
-            if let Err(e) = batch.load_globals(&mut m) {
-                return format!("trap: {e}");
-            }
-            m.fuel_per_run = self.config.oracle_fuel;
-            match m.run(&case.entry, &args) {
-                Ok(v) => v.to_string(),
-                Err(t) => format!("trap: {t}"),
-            }
-        };
-        let reference = run(ref_c, batch);
-        let mut optimized = run(opt_c, batch);
         let mut injected = false;
-        if plan.fires(FaultSite::SimTrap, &case.entry) {
-            optimized = "trap: injected simulator fault".to_string();
-            injected = true;
-        }
-        if plan.fires(FaultSite::Miscompile, &case.entry) {
-            optimized.push_str(" [injected miscompile]");
-            injected = true;
-        }
-        let matched = optimized == reference;
-        if !matched {
-            // Ship the reference compiler's artifact in place of the
-            // suspect one, marked degraded — the same contract as the
-            // panic/timeout recovery path.
-            let mut recovered = false;
-            if let Some(mut a) = ref_c.artifact(&case.entry) {
-                a.degraded = true;
-                if let Some(slot) = batch
-                    .artifacts
-                    .iter_mut()
-                    .rev()
-                    .find(|x| x.name == case.entry)
-                {
-                    a.fingerprint = slot.fingerprint;
-                    *slot = a;
-                    recovered = true;
+        let mut outcomes = Vec::with_capacity(sides.len());
+        for (i, c) in compilers.iter().enumerate() {
+            let mut out = execute(c, &case.entry, &args, self.config.fuel);
+            if i > 0 {
+                if c.backend == BackendKind::S1 && plan.fires(FaultSite::SimTrap, &case.entry) {
+                    out = "trap: injected simulator fault".to_string();
+                    injected = true;
+                }
+                if plan.fires(FaultSite::Miscompile, &case.entry) {
+                    out.push_str(" [injected miscompile]");
+                    injected = true;
                 }
             }
+            outcomes.push(out);
+        }
+        let reference = &sides[0];
+        let mut matched = true;
+        for (i, side) in sides.iter().enumerate().skip(1) {
+            let (want, got) = (&outcomes[0], &outcomes[i]);
+            let both_trap = want.starts_with("trap:") && got.starts_with("trap:");
+            if want == got || (side.backend != reference.backend && both_trap) {
+                continue;
+            }
+            matched = false;
+            let recovered = if side.ships {
+                ship_reference(batch, &compilers[0], &case.entry)
+            } else {
+                batch.artifact(&case.entry).is_some()
+            };
             let unit = batch
                 .records
                 .iter()
                 .find(|r| r.function == case.entry)
                 .map_or_else(|| "oracle".to_string(), |r| r.unit.clone());
-            if let Some(r) = batch.records.iter_mut().find(|r| r.function == case.entry) {
-                r.outcome = Outcome::Degraded;
-            }
             batch.incidents.push(Incident {
                 function: case.entry.clone(),
                 unit,
                 kind: IncidentKind::Miscompile,
                 detail: format!(
-                    "oracle mismatch: optimized gave {optimized}, reference gave {reference}"
+                    "oracle mismatch: {} gave {got}, {} gave {want}",
+                    side.label, reference.label
                 ),
                 recovered,
             });
@@ -1254,11 +1100,98 @@ impl CompileService {
         Ok(OracleVerdict {
             entry: case.entry.clone(),
             matched,
-            optimized,
-            reference,
             injected,
+            sides: sides.iter().map(|s| s.label).zip(outcomes).collect(),
         })
     }
+}
+
+/// One oracle side: a label, the compiler switches and the backend
+/// whose engine runs the code.
+struct Side {
+    label: &'static str,
+    options: PipelineOptions,
+    backend: BackendKind,
+    /// True for the side whose artifacts the batch ships.
+    ships: bool,
+}
+
+/// The oracle sides a configuration implies, reference first.  Every
+/// side compiles unguarded, with no fault plan or budget.
+///
+/// * `guard` adds a `reference` side (transformations off) and an
+///   `optimized` side (the batch's options), both on the primary
+///   backend; the optimized side ships.
+/// * Without `guard`, the batch side itself is the reference, labelled
+///   by its backend.
+/// * [`BackendSelect::Both`] adds a `bytecode` side under the batch's
+///   options.
+///
+/// Fewer than two sides means no oracle runs.
+fn oracle_sides(config: &ServiceConfig) -> Vec<Side> {
+    let options = config.options.clone().unguarded();
+    let primary = config.backend.primary();
+    let side = |label, options: &PipelineOptions, backend, ships| Side {
+        label,
+        options: options.clone(),
+        backend,
+        ships,
+    };
+    let mut sides = if config.options.guard {
+        let reference = options.clone().transformations_off();
+        vec![
+            side("reference", &reference, primary, false),
+            side("optimized", &options, primary, true),
+        ]
+    } else {
+        vec![side(primary.name(), &options, primary, true)]
+    };
+    if config.backend == BackendSelect::Both {
+        let bytecode = BackendKind::Bytecode;
+        sides.push(side(bytecode.name(), &options, bytecode, false));
+    }
+    sides
+}
+
+/// Runs `entry` on `c`'s code under `fuel` — the S-1 simulator for S-1
+/// code, the stack evaluator for bytecode — and prints the outcome: the
+/// value, or `trap: …`.
+fn execute(c: &Compiler, entry: &str, args: &[Value], fuel: u64) -> String {
+    let result = match c.backend {
+        BackendKind::S1 => {
+            let mut m = c.machine();
+            m.fuel_per_run = fuel;
+            m.run(entry, args).map_err(|t| t.to_string())
+        }
+        BackendKind::Bytecode => {
+            let mut e = c.evaluator();
+            e.fuel_per_run = fuel;
+            e.run(entry, args).map_err(|t| t.to_string())
+        }
+    };
+    match result {
+        Ok(v) => v.to_string(),
+        Err(t) => format!("trap: {t}"),
+    }
+}
+
+/// Downgrades `entry`'s record and ships the reference compile's
+/// artifact in place of the suspect one, marked degraded.  Returns
+/// whether a replacement shipped.
+fn ship_reference(batch: &mut BatchResult, reference: &Compiler, entry: &str) -> bool {
+    if let Some(r) = batch.records.iter_mut().find(|r| r.function == entry) {
+        r.outcome = Outcome::Degraded;
+    }
+    let Some(mut a) = reference.artifact(entry) else {
+        return false;
+    };
+    let Some(slot) = batch.artifacts.iter_mut().rev().find(|x| x.name == entry) else {
+        return false;
+    };
+    a.degraded = true;
+    a.fingerprint = slot.fingerprint;
+    *slot = a;
+    true
 }
 
 struct SplitUnit {
@@ -1316,6 +1249,7 @@ fn split_unit(unit: &SourceUnit, first_seq: usize) -> Result<SplitUnit, String> 
                     form: form.to_string(),
                     specials: specials.clone(),
                     salt: 0,
+                    backend: BackendKind::default(),
                 });
             }
             Some("defvar") => {

@@ -145,10 +145,10 @@ fn main() -> ExitCode {
             "--quantum" => queue.quantum = parse(&mut args, "--quantum"),
             "--retry-after-ms" => config.retry_after_ms = parse(&mut args, "--retry-after-ms"),
             "--incident-budget" => config.incident_budget = parse(&mut args, "--incident-budget"),
-            "--run-fuel" => config.run_fuel = parse(&mut args, "--run-fuel"),
+            "--run-fuel" => config.service.fuel = parse(&mut args, "--run-fuel"),
             "--state-dir" => config.state_dir = Some(parse(&mut args, "--state-dir")),
             "--snapshot-every" => config.snapshot_every = parse(&mut args, "--snapshot-every"),
-            "--guard" => config.service.guard = true,
+            "--guard" => config.service.options.guard = true,
             "--fault-seed" => fault_seed = Some(parse(&mut args, "--fault-seed")),
             "--fault-permille" => fault_permille = parse(&mut args, "--fault-permille"),
             "--tenant" => {
@@ -173,7 +173,7 @@ fn main() -> ExitCode {
         usage();
     }
     if let Some(seed) = fault_seed {
-        config.service.fault_plan = Some(FaultPlan::storm(seed, fault_permille));
+        config.service.options.fault_plan = Some(FaultPlan::storm(seed, fault_permille));
     }
     if !allow.is_empty() {
         config.tenants = Some(allow);

@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use s1lisp::{BackendKind, Compiler, FaultSite, PipelineOptions, Value};
+use s1lisp::{BackendKind, Compiler, FaultSite, Value};
 use s1lisp_driver::{
     unit_decls, BatchTuning, CompileService, IncidentKind, ServiceConfig, SourceUnit,
 };
@@ -59,7 +59,9 @@ pub struct ServerConfig {
     /// Worker threads draining the admission queue.
     pub workers: usize,
     /// The compilation service every request serves through.  Its
-    /// `fault_plan` also arms the server's `run`-time injection site.
+    /// `fault_plan` also arms the server's `run`-time injection site,
+    /// and its `fuel` bounds each `run` request, so a runaway program
+    /// traps instead of pinning a worker.
     pub service: ServiceConfig,
     /// Admission-queue bounds and fairness quantum.
     pub queue: QueueConfig,
@@ -68,9 +70,6 @@ pub struct ServerConfig {
     /// Incidents a tenant may accrue before it is demoted to
     /// transformations-off compilation.
     pub incident_budget: u64,
-    /// Instruction budget per `run` request, so a runaway program traps
-    /// instead of pinning a worker.
-    pub run_fuel: u64,
     /// Tenant allowlist as `(name, token)`; `None` is open enrollment
     /// (any tenant name, no token check).
     pub tenants: Option<Vec<(String, String)>>,
@@ -91,7 +90,6 @@ impl Default for ServerConfig {
             queue: QueueConfig::default(),
             retry_after_ms: 25,
             incident_budget: 8,
-            run_fuel: 100_000_000,
             tenants: None,
             state_dir: None,
             snapshot_every: 8,
@@ -689,7 +687,7 @@ fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &
     // fault storm exercises the run path; the trap is contained to this
     // request and accrues against the tenant's budget like any other
     // incident.
-    if let Some(plan) = &shared.config.service.fault_plan {
+    if let Some(plan) = &shared.config.service.options.fault_plan {
         if plan.fires(FaultSite::SimTrap, entry) {
             resp.slo.degraded = accrue_incident(shared, &work.tenant, 1);
             resp.slo.incident_kind = Some("sim-trap".to_string());
@@ -706,14 +704,11 @@ fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &
     // transformations off once the tenant is demoted.  The replay runs
     // on the simulator, so it always targets the S-1 backend.
     let replay_start = Instant::now();
-    let mut options = PipelineOptions {
-        backend: BackendKind::S1,
-        ..shared.config.service.pipeline_options().unguarded()
-    };
+    let mut options = shared.config.service.options.clone().unguarded();
     if demoted {
         options = options.transformations_off();
     }
-    let mut c = Compiler::with_options(options);
+    let mut c = Compiler::with_options(options, BackendKind::S1);
     for src in &sources {
         if let Err(e) = c.compile_str(src) {
             resp.ok = false;
@@ -736,7 +731,7 @@ fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &
     }
     let machine_start = Instant::now();
     let mut m = c.machine();
-    m.fuel_per_run = shared.config.run_fuel;
+    m.fuel_per_run = shared.config.service.fuel;
     resp.slo.machine_us = elapsed_us(machine_start);
     let execute_start = Instant::now();
     let value = match m.run(entry, &values) {
@@ -758,7 +753,7 @@ fn attach_journal(shared: &Shared, tenant: &Arc<Mutex<TenantState>>) {
     if st.journal.is_some() {
         return;
     }
-    let plan = shared.config.service.fault_plan.clone();
+    let plan = shared.config.service.options.fault_plan.clone();
     match TenantJournal::open(state_dir, st.fingerprint, plan) {
         Ok(journal) => {
             let fresh = !journal.snapshot_path().exists();
@@ -876,7 +871,7 @@ fn recover_one(
     registry: &TenantRegistry,
     metrics: &MetricsRegistry,
 ) {
-    let plan = config.service.fault_plan.clone();
+    let plan = config.service.options.fault_plan.clone();
     let snapshot = std::fs::read_to_string(dir.join("snapshot.json"))
         .ok()
         .and_then(|text| json::parse(&text).ok())
@@ -1015,7 +1010,7 @@ fn quarantine_tenant(
         ..TenantState::default()
     };
     if let Some(state_dir) = dir.parent() {
-        let plan = config.service.fault_plan.clone();
+        let plan = config.service.options.fault_plan.clone();
         if let Ok(journal) = TenantJournal::open(state_dir, st.fingerprint, plan) {
             st.journal = Some(journal);
             snapshot_tenant(metrics, &mut st);

@@ -314,7 +314,8 @@ fn journal_write_faults_make_responses_nondurable_and_recovery_honest() {
     // acknowledgements are back — the flag is the contract.
     let dir = state_dir("writefault");
     let mut config = durable_config(&dir);
-    config.service.fault_plan = Some(FaultPlan::new(0xD06).arm(FaultSite::JournalWrite, 500));
+    config.service.options.fault_plan =
+        Some(FaultPlan::new(0xD06).arm(FaultSite::JournalWrite, 500));
     let handle = start(config);
     let mut client = connect(&handle);
     assert!(client.hello("alice", None).unwrap().ok);
@@ -370,7 +371,8 @@ fn journal_corrupt_fault_site_quarantines_from_its_seed() {
         std::fs::copy(src_td.join(f), dst_td.join(f)).unwrap();
     }
     let mut config = durable_config(&drill);
-    config.service.fault_plan = Some(FaultPlan::new(7).arm(FaultSite::JournalCorrupt, 1000));
+    config.service.options.fault_plan =
+        Some(FaultPlan::new(7).arm(FaultSite::JournalCorrupt, 1000));
     let server = CompileServer::new(config);
     {
         let state = server.tenant("alice").expect("quarantined");

@@ -118,7 +118,9 @@ fn main() {
     // twice through one service — the second batch is answered entirely
     // from the content-addressed artifact cache.
     println!("\n=== the compilation service: batch compile, then a warm recompile ===\n");
-    use s1lisp_driver::{CompileService, FaultPlan, FaultSite, ServiceConfig, SourceUnit};
+    use s1lisp_driver::{
+        CompileService, FaultPlan, FaultSite, PipelineOptions, ServiceConfig, SourceUnit,
+    };
     let units = [SourceUnit::new(
         "tour",
         "(defun square (x) (* x x))
@@ -146,11 +148,14 @@ fn main() {
     println!("\n=== fault isolation: a panic injected into cube's pipeline ===\n");
     let cfg = ServiceConfig {
         jobs: 2,
-        fault_plan: Some(
-            FaultPlan::new(0)
-                .arm(FaultSite::PhasePanic, 1000)
-                .only_for("cube"),
-        ),
+        options: PipelineOptions {
+            fault_plan: Some(
+                FaultPlan::new(0)
+                    .arm(FaultSite::PhasePanic, 1000)
+                    .only_for("cube"),
+            ),
+            ..PipelineOptions::default()
+        },
         ..ServiceConfig::default()
     };
     // Quiet the default panic hook for the demo — the injected panic is
@@ -287,8 +292,8 @@ fn main() {
         bc_a.backend,
         s1_a.insns,
         bc_a.insns,
-        s1_c.options_fingerprint(),
-        bc_c.options_fingerprint(),
+        s1_c.options.fingerprint(s1_c.backend),
+        bc_c.options.fingerprint(bc_c.backend),
     );
     let args = [Value::Fixnum(2), Value::Fixnum(10), Value::Fixnum(1)];
     let on_s1 = s1_c.machine().run("exptl", &args).expect("s1 run");

@@ -40,7 +40,7 @@ fn fl(x: f64) -> Value {
 
 fn run_config(name: &str, options: CodegenOptions) -> (Value, u64, u64) {
     let mut c = Compiler::new();
-    c.codegen_options = options;
+    c.options.codegen_options = options;
     c.compile_str(SRC).expect("compiles");
     let mut m = c.machine();
     let v = m.run("sum-horner", &[Value::Fixnum(10_000)]).expect(name);

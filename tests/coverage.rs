@@ -402,7 +402,7 @@ fn unrolled_loops_agree_with_the_interpreter() {
                  (if (zerop n) acc (sum-down (- n 1) (+ acc n))))";
     // Compare unrolled-compiled vs default-compiled vs interpreter.
     let mut unrolled = s1lisp::Compiler::new();
-    unrolled.opt_options.unroll = true;
+    unrolled.options.opt_options.unroll = true;
     let (mut m_u, i_u) = s1lisp_suite::build_with(src, unrolled);
     let (mut m_d, _) = build(src);
     for n in [0i64, 1, 7, 100, 101] {

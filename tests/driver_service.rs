@@ -17,8 +17,8 @@ use std::time::Duration;
 
 use s1lisp_bench::service_units;
 use s1lisp_driver::{
-    BatchResult, CompileService, FaultPlan, FaultSite, IncidentKind, Outcome, ServiceConfig,
-    SourceUnit,
+    BatchResult, CompileService, FaultPlan, FaultSite, IncidentKind, Outcome, PipelineOptions,
+    ServiceConfig, SourceUnit,
 };
 
 fn corpus_batch(jobs: usize) -> (CompileService, BatchResult) {
@@ -86,11 +86,14 @@ fn injected_panic_degrades_one_function_and_spares_the_rest() {
     let (_, clean) = corpus_batch(2);
     let config = ServiceConfig {
         jobs: 2,
-        fault_plan: Some(
-            FaultPlan::new(0)
-                .arm(FaultSite::PhasePanic, 1000)
-                .only_for("tak"),
-        ),
+        options: PipelineOptions {
+            fault_plan: Some(
+                FaultPlan::new(0)
+                    .arm(FaultSite::PhasePanic, 1000)
+                    .only_for("tak"),
+            ),
+            ..PipelineOptions::default()
+        },
         ..ServiceConfig::default()
     };
     let faulted = CompileService::new(config).compile_batch(&service_units());
@@ -135,12 +138,15 @@ fn budget_overrun_times_out_and_recovers() {
     // it into a timeout incident for the target alone.
     let config = ServiceConfig {
         jobs: 2,
-        pass_budget: Some(Duration::from_millis(100)),
-        fault_plan: Some(
-            FaultPlan::new(0)
-                .arm(FaultSite::Overrun, 1000)
-                .only_for("slowpoke"),
-        ),
+        options: PipelineOptions {
+            pass_budget: Some(Duration::from_millis(100)),
+            fault_plan: Some(
+                FaultPlan::new(0)
+                    .arm(FaultSite::Overrun, 1000)
+                    .only_for("slowpoke"),
+            ),
+            ..PipelineOptions::default()
+        },
         ..ServiceConfig::default()
     };
     let units = [SourceUnit::new(
@@ -172,7 +178,10 @@ fn pass_budget_overrun_degrades_with_the_pass_named() {
     // timeout incident whose detail names the pass.
     let config = ServiceConfig {
         jobs: 2,
-        pass_budget: Some(Duration::ZERO),
+        options: PipelineOptions {
+            pass_budget: Some(Duration::ZERO),
+            ..PipelineOptions::default()
+        },
         ..ServiceConfig::default()
     };
     let units = [SourceUnit::new(
@@ -197,7 +206,10 @@ fn pass_budget_overrun_degrades_with_the_pass_named() {
     // A generous budget compiles everything cleanly.
     let config = ServiceConfig {
         jobs: 2,
-        pass_budget: Some(Duration::from_secs(60)),
+        options: PipelineOptions {
+            pass_budget: Some(Duration::from_secs(60)),
+            ..PipelineOptions::default()
+        },
         ..ServiceConfig::default()
     };
     let batch = CompileService::new(config).compile_batch(&units);

@@ -1,6 +1,6 @@
-//! Tier-1 pins for guarded compilation (`ServiceConfig::guard`): the
-//! phase validators, the seeded fault-injection facility, and the
-//! differential execution oracle.
+//! Tier-1 pins for guarded compilation (`guard` in
+//! `ServiceConfig::options`): the phase validators, the seeded
+//! fault-injection facility, and the oracle.
 //!
 //! The contracts pinned here:
 //! * a guarded batch over the corpus is **byte-identical** to an
@@ -11,16 +11,18 @@
 //!   set;
 //! * an injected miscompile is caught by the oracle, which ships the
 //!   transformations-off reference artifact marked degraded;
+//! * each (backend, guard) configuration gets the oracle sides it
+//!   implies, agreeing when clean and each disagreeing when perturbed;
 //! * `BatchResult::load_globals` makes a batch directly runnable on a
 //!   machine, `defvar` initializers included.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use s1lisp_bench::service_units;
+use s1lisp_bench::{oracle_cases, service_units};
 use s1lisp_driver::{
-    BatchResult, CompileService, FaultPlan, FaultSite, IncidentKind, OracleCase, Outcome,
-    ServiceConfig, SourceUnit,
+    BackendSelect, BatchResult, CompileService, FaultPlan, FaultSite, IncidentKind, OracleCase,
+    Outcome, PipelineOptions, ServiceConfig, SourceUnit,
 };
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -40,18 +42,21 @@ fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
 fn storm_config(seed: u64, dir: Option<PathBuf>) -> ServiceConfig {
     ServiceConfig {
         jobs: 4,
-        guard: true,
-        pass_budget: Some(Duration::from_millis(400)),
-        fault_plan: Some(
-            FaultPlan::new(seed)
-                .arm(FaultSite::PhasePanic, 10)
-                .arm(FaultSite::Overrun, 60)
-                .arm(FaultSite::CacheRead, 500)
-                .arm(FaultSite::CacheWrite, 500)
-                .arm(FaultSite::CacheCorrupt, 500)
-                .arm(FaultSite::SimTrap, 200)
-                .arm(FaultSite::Miscompile, 200),
-        ),
+        options: PipelineOptions {
+            guard: true,
+            pass_budget: Some(Duration::from_millis(400)),
+            fault_plan: Some(
+                FaultPlan::new(seed)
+                    .arm(FaultSite::PhasePanic, 10)
+                    .arm(FaultSite::Overrun, 60)
+                    .arm(FaultSite::CacheRead, 500)
+                    .arm(FaultSite::CacheWrite, 500)
+                    .arm(FaultSite::CacheCorrupt, 500)
+                    .arm(FaultSite::SimTrap, 200)
+                    .arm(FaultSite::Miscompile, 200),
+            ),
+            ..PipelineOptions::default()
+        },
         // No disk eviction cap here: the replay assertion below needs
         // deterministic cache contents, and mtime-ordered sweeps under
         // parallel writes evict a scheduling-dependent subset — which
@@ -87,7 +92,10 @@ fn guard_validators_do_not_perturb_artifacts() {
     let plain = CompileService::new(ServiceConfig::with_jobs(2)).compile_batch(&service_units());
     let guarded = CompileService::new(ServiceConfig {
         jobs: 2,
-        guard: true,
+        options: PipelineOptions {
+            guard: true,
+            ..PipelineOptions::default()
+        },
         ..ServiceConfig::default()
     })
     .compile_batch(&service_units());
@@ -149,8 +157,11 @@ fn full_fault_storm_loses_no_functions_and_replays_from_its_seed() {
 fn injected_miscompile_ships_the_reference_artifact() {
     let cfg = ServiceConfig {
         jobs: 2,
-        guard: true,
-        fault_plan: Some(FaultPlan::new(1).arm(FaultSite::Miscompile, 1000)),
+        options: PipelineOptions {
+            guard: true,
+            fault_plan: Some(FaultPlan::new(1).arm(FaultSite::Miscompile, 1000)),
+            ..PipelineOptions::default()
+        },
         oracle: vec![OracleCase::new("exptl", ["3", "10", "1"])],
         ..ServiceConfig::default()
     };
@@ -168,7 +179,7 @@ fn injected_miscompile_ships_the_reference_artifact() {
     assert_eq!(shipped.transformations, 0);
     let report = batch.guard.expect("guard report");
     assert!(report.contained);
-    let verdict = &report.oracle[0];
+    let verdict = &batch.oracle[0];
     assert!(!verdict.matched);
     assert!(verdict.injected);
     // The record reflects the downgrade.
@@ -184,7 +195,10 @@ fn injected_miscompile_ships_the_reference_artifact() {
 fn clean_oracle_agrees_on_every_case() {
     let cfg = ServiceConfig {
         jobs: 2,
-        guard: true,
+        options: PipelineOptions {
+            guard: true,
+            ..PipelineOptions::default()
+        },
         oracle: vec![
             OracleCase::new("exptl", ["3", "10", "1"]),
             OracleCase::new("quadratic", ["1.0", "-3.0", "2.0"]),
@@ -196,11 +210,90 @@ fn clean_oracle_agrees_on_every_case() {
     };
     let batch = CompileService::new(cfg).compile_batch(&service_units());
     assert!(batch.incidents.is_empty(), "{:?}", batch.incidents);
-    let report = batch.guard.expect("guard report");
-    assert_eq!(report.oracle.len(), 5);
-    for v in &report.oracle {
-        assert!(v.matched, "{}: {} vs {}", v.entry, v.optimized, v.reference);
+    assert!(batch.guard.is_some(), "guard report");
+    assert_eq!(batch.oracle.len(), 5);
+    for v in &batch.oracle {
+        assert!(
+            v.matched,
+            "{}: {:?} vs {:?}",
+            v.entry,
+            v.outcome("optimized"),
+            v.outcome("reference")
+        );
         assert!(!v.injected);
+    }
+}
+
+/// One oracle over every (backend, guard) configuration that has at
+/// least two sides: the side labels it implies, agreement on a clean
+/// run, and — with every non-reference side perturbed — one miscompile
+/// per such side, with the reference's artifact shipped whenever the
+/// shipping side (`optimized` under guard) disagreed.
+#[test]
+fn oracle_sides_follow_the_configuration() {
+    let table: [(BackendSelect, bool, &[&str]); 4] = [
+        (BackendSelect::S1, true, &["reference", "optimized"]),
+        (BackendSelect::Both, false, &["s1", "bytecode"]),
+        (
+            BackendSelect::Both,
+            true,
+            &["reference", "optimized", "bytecode"],
+        ),
+        (BackendSelect::Bytecode, true, &["reference", "optimized"]),
+    ];
+    for (backend, guard, labels) in table {
+        let config = |fault_plan: Option<FaultPlan>| ServiceConfig {
+            jobs: 2,
+            backend,
+            options: PipelineOptions {
+                guard,
+                fault_plan,
+                ..PipelineOptions::default()
+            },
+            oracle: oracle_cases(),
+            ..ServiceConfig::default()
+        };
+        let what = format!("{} guard={guard}", backend.as_str());
+
+        let clean = CompileService::new(config(None)).compile_batch(&service_units());
+        assert!(clean.failures.is_empty(), "{what}: {:?}", clean.failures);
+        assert!(clean.incidents.is_empty(), "{what}: {:?}", clean.incidents);
+        assert_eq!(clean.oracle.len(), oracle_cases().len(), "{what}");
+        for v in &clean.oracle {
+            let got: Vec<&str> = v.sides.iter().map(|(label, _)| *label).collect();
+            assert_eq!(got, labels, "{what}");
+            assert!(v.matched, "{what} {}: {:?}", v.entry, v.sides);
+            assert!(!v.injected, "{what}");
+        }
+
+        let plan = FaultPlan::new(1).arm(FaultSite::Miscompile, 1000);
+        let faulted = CompileService::new(config(Some(plan))).compile_batch(&service_units());
+        assert_eq!(faulted.oracle.len(), oracle_cases().len(), "{what}");
+        for v in &faulted.oracle {
+            assert!(
+                !v.matched && v.injected,
+                "{what} {}: {:?}",
+                v.entry,
+                v.sides
+            );
+            let miscompiles = faulted
+                .incidents
+                .iter()
+                .filter(|i| i.kind == IncidentKind::Miscompile && i.function == v.entry)
+                .count();
+            assert_eq!(miscompiles, labels.len() - 1, "{what} {}", v.entry);
+            let shipped = faulted.artifact(&v.entry).expect("artifact still present");
+            assert_eq!(shipped.backend, backend.primary().name(), "{what}");
+            if guard {
+                // `optimized` ships and disagreed: the transformations-off
+                // reference replaces it.
+                assert!(shipped.degraded, "{what} {}", v.entry);
+                assert_eq!(shipped.transformations, 0, "{what} {}", v.entry);
+            } else {
+                // The reference side itself ships, untouched.
+                assert_eq!(Some(shipped), clean.artifact(&v.entry), "{what}");
+            }
+        }
     }
 }
 

@@ -10,7 +10,7 @@ use s1lisp_suite::{fl, fx, TESTFN};
 #[test]
 fn quadratic_back_translation_matches_section_4_1() {
     let mut c = Compiler::new();
-    c.opt_options = s1lisp::OptOptions::none(); // conversion only
+    c.options.opt_options = s1lisp::OptOptions::none(); // conversion only
     c.compile_str(s1lisp_suite::QUADRATIC).unwrap();
     let f = c.function("quadratic").unwrap();
     let flat = f
@@ -204,7 +204,7 @@ fn special_caching_cuts_searches() {
     let mut on = Compiler::new();
     on.compile_str(src).unwrap();
     let mut off = Compiler::new();
-    off.codegen_options.cache_specials = false;
+    off.options.codegen_options.cache_specials = false;
     off.compile_str(src).unwrap();
     let mut m_on = on.machine();
     let mut m_off = off.machine();

@@ -9,9 +9,9 @@ use s1lisp_suite::{build_with, check_agree, corpus, fl, fx};
 /// niceties, and fully naive.
 fn configurations() -> Vec<(&'static str, Compiler)> {
     let mut no_opt = Compiler::new();
-    no_opt.opt_options = OptOptions::none();
+    no_opt.options.opt_options = OptOptions::none();
     let mut no_codegen = Compiler::new();
-    no_codegen.codegen_options = CodegenOptions {
+    no_codegen.options.codegen_options = CodegenOptions {
         tail_calls: false,
         pdl_numbers: false,
         cache_specials: false,
@@ -20,7 +20,7 @@ fn configurations() -> Vec<(&'static str, Compiler)> {
         backtracking_pack: false,
     };
     let mut cse = Compiler::new();
-    cse.cse = true;
+    cse.options.cse = true;
     vec![
         ("full", Compiler::new()),
         ("no-source-opt", no_opt),
@@ -94,12 +94,7 @@ fn corpus_agrees_across_all_configurations() {
 /// `Compiler` intentionally has no `Clone` (it owns interner state); the
 /// grid rebuilds from options instead.
 fn clone_compiler(c: &Compiler) -> Compiler {
-    let mut fresh = Compiler::new();
-    fresh.opt_options = c.opt_options.clone();
-    fresh.codegen_options = c.codegen_options.clone();
-    fresh.cse = c.cse;
-    fresh.tension_branches = c.tension_branches;
-    fresh
+    Compiler::with_options(c.options.clone(), c.backend)
 }
 
 #[test]

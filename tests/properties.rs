@@ -325,7 +325,7 @@ fn driver_batches_are_jobs_invariant_on_random_programs() {
 /// the storm did *not* touch is byte-identical to the clean baseline.
 #[test]
 fn driver_fault_storms_leave_untouched_functions_byte_identical() {
-    use s1lisp_driver::{CompileService, FaultPlan, FaultSite, ServiceConfig};
+    use s1lisp_driver::{CompileService, FaultPlan, FaultSite, PipelineOptions, ServiceConfig};
 
     let units = s1lisp_bench::service_units();
     let baseline = CompileService::new(ServiceConfig::with_jobs(2)).compile_batch(&units);
@@ -339,8 +339,11 @@ fn driver_fault_storms_leave_untouched_functions_byte_identical() {
         let seed = rng.next_u64();
         let cfg = ServiceConfig {
             jobs: 4,
-            guard: true,
-            fault_plan: Some(FaultPlan::new(seed).arm(FaultSite::PhasePanic, 35)),
+            options: PipelineOptions {
+                guard: true,
+                fault_plan: Some(FaultPlan::new(seed).arm(FaultSite::PhasePanic, 35)),
+                ..PipelineOptions::default()
+            },
             ..ServiceConfig::default()
         };
         let batch = CompileService::new(cfg).compile_batch(&units);

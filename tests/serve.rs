@@ -4,7 +4,9 @@
 
 use s1lisp::Compiler;
 use s1lisp_bench::service_units;
-use s1lisp_driver::{CompileService, FaultPlan, FaultSite, ServiceConfig, SourceUnit};
+use s1lisp_driver::{
+    CompileService, FaultPlan, FaultSite, PipelineOptions, ServiceConfig, SourceUnit,
+};
 use s1lisp_server::{
     Body, CompileServer, Op, QueueConfig, ServeClient, ServerConfig, ServerHandle,
 };
@@ -186,7 +188,10 @@ fn queue_full_rejects_with_retry_after_and_drops_nothing() {
             total: 2,
             quantum: 4,
         },
-        run_fuel: 20_000_000,
+        service: ServiceConfig {
+            fuel: 20_000_000,
+            ..ServiceConfig::default()
+        },
         ..ServerConfig::default()
     });
     let mut client = connect(&handle);
@@ -244,7 +249,10 @@ fn queue_full_rejects_with_retry_after_and_drops_nothing() {
 fn flooding_tenant_cannot_starve_light_tenant() {
     let handle = start(ServerConfig {
         workers: 1,
-        run_fuel: 20_000_000,
+        service: ServiceConfig {
+            fuel: 20_000_000,
+            ..ServiceConfig::default()
+        },
         ..ServerConfig::default()
     });
     let port = handle.port();
@@ -297,11 +305,14 @@ fn incident_budget_demotes_only_the_offending_tenant() {
     let handle = start(ServerConfig {
         incident_budget: 1,
         service: ServiceConfig {
-            fault_plan: Some(
-                FaultPlan::new(0)
-                    .arm(FaultSite::PhasePanic, 1000)
-                    .only_for("boom"),
-            ),
+            options: PipelineOptions {
+                fault_plan: Some(
+                    FaultPlan::new(0)
+                        .arm(FaultSite::PhasePanic, 1000)
+                        .only_for("boom"),
+                ),
+                ..PipelineOptions::default()
+            },
             ..ServiceConfig::default()
         },
         ..ServerConfig::default()
@@ -363,15 +374,18 @@ fn demoted_tenant_runs_with_transformations_off() {
     const SPIN: &str = "(defun spin (n acc)
                           (if (zerop n) acc (spin (- n 1) (+ acc (if (null nil) 1 2)))))";
     let service = ServiceConfig {
-        fault_plan: Some(
-            FaultPlan::new(0)
-                .arm(FaultSite::PhasePanic, 1000)
-                .only_for("boom"),
-        ),
+        options: PipelineOptions {
+            fault_plan: Some(
+                FaultPlan::new(0)
+                    .arm(FaultSite::PhasePanic, 1000)
+                    .only_for("boom"),
+            ),
+            ..PipelineOptions::default()
+        },
         ..ServiceConfig::default()
     };
-    let insns = |options: s1lisp_driver::PipelineOptions| {
-        let mut c = Compiler::with_options(options);
+    let insns = |options: PipelineOptions| {
+        let mut c = Compiler::with_options(options, s1lisp::BackendKind::S1);
         c.compile_str(SPIN).unwrap();
         let mut m = c.machine();
         let value = m
@@ -385,15 +399,17 @@ fn demoted_tenant_runs_with_transformations_off() {
         // charged to the statistics only), so count what it consumed.
         m.fuel_per_run - m.fuel
     };
-    let options = service.pipeline_options().unguarded();
+    let options = service.options.clone().unguarded();
     let optimized = insns(options.clone());
     let unoptimized = insns(options.transformations_off());
     assert!(optimized < unoptimized, "{optimized} vs {unoptimized}");
 
     let handle = start(ServerConfig {
         incident_budget: 1,
-        run_fuel: (optimized + unoptimized) / 2,
-        service,
+        service: ServiceConfig {
+            fuel: (optimized + unoptimized) / 2,
+            ..service
+        },
         ..ServerConfig::default()
     });
     let mut client = connect(&handle);

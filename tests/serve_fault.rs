@@ -3,7 +3,7 @@
 //! seed, and the daemon never goes down.
 
 use s1lisp_bench::service_units;
-use s1lisp_driver::{FaultPlan, ServiceConfig};
+use s1lisp_driver::{FaultPlan, PipelineOptions, ServiceConfig};
 use s1lisp_server::{Body, CompileServer, Response, ServeClient, ServerConfig, ServerHandle};
 
 const STORM_SEED: u64 = 0xD06;
@@ -12,8 +12,11 @@ const STORM_PERMILLE: u16 = 200;
 fn storm_server(seed: u64) -> ServerHandle {
     CompileServer::new(ServerConfig {
         service: ServiceConfig {
-            guard: true,
-            fault_plan: Some(FaultPlan::storm(seed, STORM_PERMILLE)),
+            options: PipelineOptions {
+                guard: true,
+                fault_plan: Some(FaultPlan::storm(seed, STORM_PERMILLE)),
+                ..PipelineOptions::default()
+            },
             ..ServiceConfig::default()
         },
         // A storm this dense exhausts the default budget part-way in;
