@@ -379,11 +379,6 @@ impl Tree {
         self.nodes.len()
     }
 
-    /// Number of variables ever allocated.
-    pub fn var_count(&self) -> usize {
-        self.vars.len()
-    }
-
     /// Iterates over all variable ids ever allocated.
     pub fn var_ids(&self) -> impl Iterator<Item = VarId> {
         (0..self.vars.len() as u32).map(VarId)

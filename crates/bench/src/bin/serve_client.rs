@@ -3,8 +3,9 @@
 //!
 //! ```sh
 //! # CI smoke: concurrent tenants against an in-process daemon must be
-//! # byte-identical to a plain service batch; with --serve-bin, also
-//! # drive a spawned `serve --stdio` child and check clean shutdown.
+//! # byte-identical to a plain service batch and `run` must answer as
+//! # an in-process compiler does; with --serve-bin, also drive a
+//! # spawned `serve --stdio` child and check clean shutdown.
 //! cargo run -p s1lisp-bench --bin serve_client -- --selftest
 //! cargo run -p s1lisp-bench --bin serve_client -- --selftest \
 //!     --serve-bin target/release/serve
@@ -18,8 +19,10 @@
 
 use std::collections::HashMap;
 
-use s1lisp_bench::service_units;
-use s1lisp_driver::{CompileService, ServiceConfig};
+use s1lisp::{Compiler, Value};
+use s1lisp_bench::{oracle_cases, service_units};
+use s1lisp_driver::{CompileService, OracleCase, ServiceConfig};
+use s1lisp_reader::{read_str, Interner};
 use s1lisp_server::{Body, CompileServer, ServeClient, ServerConfig};
 
 fn fail(msg: &str) -> ! {
@@ -42,10 +45,46 @@ fn baseline_artifacts() -> HashMap<String, String> {
         .collect()
 }
 
+/// The answer an in-process compiler gives for `case` after compiling
+/// `source` alone, printed as the daemon prints a `run` answer.
+fn local_answer(source: &str, case: &OracleCase) -> String {
+    let mut c = Compiler::new();
+    if let Err(e) = c.compile_str(source) {
+        fail(&format!("in-process compile: {e}"));
+    }
+    let mut interner = Interner::new();
+    let args: Vec<Value> = case
+        .args
+        .iter()
+        .map(|a| match read_str(a, &mut interner) {
+            Ok(d) => Value::from_datum(&d),
+            Err(e) => fail(&format!("argument {a}: {e}")),
+        })
+        .collect();
+    match c.machine().run(&case.entry, &args) {
+        Ok(v) => v.to_string(),
+        Err(t) => format!("trap: {t}"),
+    }
+}
+
+/// Runs `entry args` through `client` and fails unless it answers
+/// `want`.
+fn expect_run(client: &mut ServeClient, entry: &str, args: &[String], want: &str) {
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let ran = client
+        .run(entry, &args)
+        .unwrap_or_else(|e| fail(&format!("run {entry}: {e}")));
+    if ran.body != (Body::Run { value: want.into() }) {
+        fail(&format!("run {entry}: want {want}, got {ran:?}"));
+    }
+}
+
 /// Compiles every corpus unit through `client`, one fresh tenant per
 /// unit (mirroring the batch contract that declarations do not leak
-/// across units), and checks each artifact byte-for-byte against the
-/// baseline.  Returns the number of artifacts compared.
+/// across units), checks each artifact byte-for-byte against the
+/// baseline, and runs each oracle case the unit defines, which must
+/// answer as an in-process compiler of the unit does.  Returns the
+/// number of artifacts compared.
 fn compile_corpus_and_compare(
     client: &mut ServeClient,
     tenant_prefix: &str,
@@ -76,6 +115,12 @@ fn compile_corpus_and_compare(
                 fail(&format!("{}: artifact differs from compile_batch", a.name));
             }
             compared += 1;
+        }
+        for case in oracle_cases() {
+            if artifacts.iter().any(|a| a.name == case.entry) {
+                let want = local_answer(&unit.source, &case);
+                expect_run(client, &case.entry, &case.args, &want);
+            }
         }
     }
     compared
@@ -108,22 +153,27 @@ fn selftest(serve_bin: Option<&str>) {
         .sum();
     handle.shutdown();
     handle.join();
-    println!("serve_client --selftest: tcp ok, {compared} artifacts byte-identical across 2 concurrent tenants");
+    println!("serve_client --selftest: tcp ok, {compared} artifacts byte-identical and runs agree across 2 concurrent tenants");
 
     if let Some(bin) = serve_bin {
         let mut client = ServeClient::spawn_stdio(bin, &[])
             .unwrap_or_else(|e| fail(&format!("spawn {bin}: {e}")));
         let compared = compile_corpus_and_compare(&mut client, "stdio", &baseline);
-        let hello = client.hello("stdio-run", None).expect("hello");
+        // `g` was served after `(defvar cell 5)`, so it deep-binds
+        // `cell` and `f` sees 10; `run` must execute that code.
+        let hello = client.hello("stdio-cells", None).expect("hello");
         assert!(hello.ok);
-        let compile = client
-            .compile("smoke", "(defun dbl (x) (+ x x))")
-            .expect("compile");
-        assert!(compile.ok);
-        let run = client.run("dbl", &["21"]).expect("run");
-        if run.body != (Body::Run { value: "42".into() }) {
-            fail(&format!("stdio run: {run:?}"));
+        for (unit, source) in [
+            ("decl", "(defvar cell 5)"),
+            ("f", "(defun f () cell)"),
+            ("g", "(defun g () (let ((cell 10)) (f)))"),
+        ] {
+            let compile = client.compile(unit, source).expect("compile");
+            if !compile.ok {
+                fail(&format!("stdio compile {unit}: {:?}", compile.error));
+            }
         }
+        expect_run(&mut client, "g", &[], "10");
         let bye = client.shutdown().expect("shutdown");
         assert!(bye.ok);
         match client.wait_exit() {
@@ -132,7 +182,7 @@ fn selftest(serve_bin: Option<&str>) {
             Err(e) => fail(&format!("wait: {e}")),
         }
         println!(
-            "serve_client --selftest: stdio ok, {compared} artifacts byte-identical, clean exit"
+            "serve_client --selftest: stdio ok, {compared} artifacts byte-identical, runs agree, clean exit"
         );
     }
 }

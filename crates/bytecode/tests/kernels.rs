@@ -4,7 +4,7 @@
 
 use s1lisp_annotate::Annotations;
 use s1lisp_bytecode::{emit_unit, Evaluator, Module};
-use s1lisp_frontend::Frontend;
+use s1lisp_frontend::{Frontend, TopLevel};
 use s1lisp_interp::{Interp, Value};
 use s1lisp_reader::{read_all_str, Interner};
 
@@ -13,9 +13,10 @@ use s1lisp_reader::{read_all_str, Interner};
 fn build(src: &str) -> (Evaluator, Interp) {
     let mut interner = Interner::new();
     let forms = read_all_str(src, &mut interner).expect("read");
-    let mut fe = Frontend::new(&mut interner);
-    let funcs = fe.convert_toplevel(&forms).expect("convert");
-    let inits = std::mem::take(&mut fe.defvar_inits);
+    let unit = TopLevel::split(&forms).expect("split");
+    let funcs = Frontend::new(&mut interner)
+        .convert_unit(&unit)
+        .expect("convert");
     let mut module = Module::new();
     let mut interp = Interp::new();
     for f in funcs {
@@ -25,10 +26,10 @@ fn build(src: &str) -> (Evaluator, Interp) {
         interp.define(f);
     }
     let mut eval = Evaluator::new(module);
-    for (name, init) in inits {
-        let v = Value::from_datum(&init);
-        eval.set_global(name.as_str(), v.clone());
-        interp.set_global(name.as_str(), v);
+    for d in &unit.defvars {
+        let v = Value::from_datum(&d.value);
+        eval.set_global(d.name.as_str(), v.clone());
+        interp.set_global(d.name.as_str(), v);
     }
     (eval, interp)
 }

@@ -759,13 +759,27 @@ impl<'a> Gen<'a> {
         // and pointers to the relevant stack locations are cached in the
         // function's local activation frame", §4.4).
         if self.opts.cache_specials {
+            // A special bound inside the body gets a new binding cell
+            // there, so a pointer cached on entry would name the outer
+            // binding: such names are searched for at each use instead.
+            let rebound: Vec<&str> = self
+                .tree
+                .var_ids()
+                .filter(|v| {
+                    let var = self.tree.var(*v);
+                    var.special && var.binder.is_some() && !all.contains(v)
+                })
+                .map(|v| self.tree.var(v).name.as_str())
+                .collect();
             let mut needed: Vec<String> = self
                 .tree
                 .var_ids()
                 .filter(|&v| {
-                    self.tree.var(v).special
-                        && !self.tree.var(v).refs.is_empty()
+                    let var = self.tree.var(v);
+                    var.special
+                        && !var.refs.is_empty()
                         && within_lambda(self.tree, v)
+                        && !rebound.contains(&var.name.as_str())
                 })
                 .map(|v| self.tree.var(v).name.as_str().to_string())
                 .collect();
@@ -2739,6 +2753,23 @@ mod tests {
             interp.call("probe", &[]).unwrap()
         );
         assert!(m.stats.special_searches > 0);
+    }
+
+    /// A special bound by a `let` in the body is read through its new
+    /// binding, not through a pointer cached on entry (which names the
+    /// outer, here unbound, one).
+    #[test]
+    fn specials_bound_in_the_body_bypass_the_entry_cache() {
+        let m = check(
+            "(proclaim '(special cell))
+             (defun poke (x) (let ((cell (+ x 21))) (* cell 2)))
+             (defun poke-free (x) (+ cell (let ((cell x)) cell)))",
+            &[("poke", vec![fx(0)]), ("poke", vec![fx(4)])],
+        );
+        let mut m = m;
+        m.set_global("cell", &fx(100)).unwrap();
+        assert_eq!(m.run("poke", &[fx(0)]).unwrap(), fx(42));
+        assert_eq!(m.run("poke-free", &[fx(7)]).unwrap(), fx(107));
     }
 
     #[test]

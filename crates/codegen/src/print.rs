@@ -1,6 +1,6 @@
 //! "Parenthesized assembly language" output (Table 4's format).
 
-use s1lisp_s1sim::{FuncCode, Insn, Operand, Program, Word};
+use s1lisp_s1sim::{CallTarget, FuncCode, Insn, Operand, Program, Word};
 
 fn op_str(program: &Program, op: Operand) -> String {
     match op {
@@ -76,9 +76,17 @@ pub fn disassemble(program: &Program, code: &FuncCode) -> String {
     out
 }
 
+/// Function and constant operands print by name and value, never by
+/// their index into `p`'s tables: a listing must read the same in every
+/// program the function is linked into.
 fn insn_str(p: &Program, insn: &Insn) -> String {
     use Insn as I;
     let o = |op: &Operand| op_str(p, *op);
+    let func = |fnid: u32| p.names().resolve(fnid).into_owned();
+    let callee = |f: &CallTarget| match f {
+        CallTarget::Func(fnid) => func(*fnid),
+        CallTarget::Value(op) => o(op),
+    };
     match insn {
         I::Mov { dst, src } => format!("(MOV {} {})", o(dst), o(src)),
         I::Movp { tag, dst, src } => format!("((MOVP *:DTP-{tag:?}) {} {})", o(dst), o(src)),
@@ -123,8 +131,8 @@ fn insn_str(p: &Program, insn: &Insn) -> String {
         I::Pop { dst } => format!("((POP UP) {} SP)", o(dst)),
         I::AllocSlots { n, init } => format!("((ALLOC {n}) (? {init}))"),
         I::FreeSlots { n } => format!("((FREE {n}))"),
-        I::Call { f, nargs } => format!("(%CALL {f:?} {nargs})"),
-        I::TailCall { f, nargs } => format!("(%TAILCALL {f:?} {nargs})"),
+        I::Call { f, nargs } => format!("(%CALL {} {nargs})", callee(f)),
+        I::TailCall { f, nargs } => format!("(%TAILCALL {} {nargs})", callee(f)),
         I::TailJmp { nargs, target } => format!("(%TAILJMP {nargs} L{target:04})"),
         I::Ret => "(RET)".to_string(),
         I::Trap { msg } => format!("(TRAP \"{msg}\")"),
@@ -140,7 +148,7 @@ fn insn_str(p: &Program, insn: &Insn) -> String {
         I::LoadCell { dst, cell } => format!("(%CELL-FETCH {} {})", o(dst), o(cell)),
         I::StoreCell { cell, src } => format!("(%CELL-STORE {} {})", o(cell), o(src)),
         I::MakeClosure { dst, fnid, ncells } => {
-            format!("(%CLOSURE-CONS {} FN{fnid} {ncells})", o(dst))
+            format!("(%CLOSURE-CONS {} {} {ncells})", o(dst), func(*fnid))
         }
         I::LoadEnv { dst, index } => format!("(%ENV-FETCH {} {index})", o(dst)),
         I::SpecBind { sym, src } => format!(
@@ -180,9 +188,12 @@ fn insn_str(p: &Program, insn: &Insn) -> String {
         I::PushCatch { tag, target } => format!("(%CATCH {} L{target:04})", o(tag)),
         I::PopCatch => "(%UNCATCH)".to_string(),
         I::Throw { tag, value } => format!("(%THROW {} {})", o(tag), o(value)),
-        I::LoadFunction { dst, fnid } => format!("(%FUNCTION {} FN{fnid})", o(dst)),
+        I::LoadFunction { dst, fnid } => format!("(%FUNCTION {} {})", o(dst), func(*fnid)),
         I::ListifyArgs { fixed } => format!("(%LISTIFY {fixed})"),
-        I::LoadConst { dst, idx } => format!("(%CONSTANT {} K{idx})", o(dst)),
+        I::LoadConst { dst, idx } => match p.constants.get(*idx as usize) {
+            Some(v) => format!("(%CONSTANT {} (QUOTE {v}))", o(dst)),
+            None => format!("(%CONSTANT {} #{idx})", o(dst)),
+        },
         I::LocalCall { target } => format!("(%LOCALCALL L{target:04})"),
         I::LocalRet => "(%LOCALRET)".to_string(),
         I::Apply { f, list } => format!("(%APPLY {} {})", o(f), o(list)),

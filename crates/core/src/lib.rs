@@ -49,6 +49,7 @@ pub use s1lisp_bytecode::{BcTrap, Evaluator};
 pub use s1lisp_trace::fault::{FaultPlan, FaultSite};
 
 pub use s1lisp_codegen::CodegenOptions;
+pub use s1lisp_frontend::TopLevel;
 pub use s1lisp_interp::{Interp, LispError, Value};
 pub use s1lisp_opt::{OptOptions, Transcript};
 pub use s1lisp_s1sim::{Machine, MachineStats, Program, Trap};
@@ -214,60 +215,53 @@ impl Compiler {
     }
 
     /// Compiles every top-level form in `source`, returning the names of
-    /// the functions defined.
+    /// the functions defined.  The unit's `proclaim`s and `defvar`s hold
+    /// for every later compilation, as [`Compiler::proclaim_special`]'s
+    /// do.
     ///
     /// # Errors
     ///
     /// Returns a [`CompileError`] for read, conversion, or
     /// code-generation failures.
     pub fn compile_str(&mut self, source: &str) -> Result<Vec<String>, CompileError> {
-        // Detach the sink so `compile_function` can borrow the rest of
-        // `self`.  With `None`, recording is a virtual no-op per phase
-        // boundary (the analysis passes still run — their results feed
-        // the pipeline's `UnitState` — but nothing is stored per node
-        // or instruction).
+        self.with_sink(|c, sink| {
+            let pending = c.convert_str_with(source, sink)?;
+            pending
+                .into_iter()
+                .map(|p| c.compile_function(p.inner, sink))
+                .collect()
+        })
+    }
+
+    /// Runs `f` with this compiler's trace sink detached, so `f` can
+    /// borrow the rest of `self`.  With tracing off the sink is a
+    /// [`NullSink`]: recording is a virtual no-op per phase boundary
+    /// (the analysis passes still run — their results feed the
+    /// pipeline's `UnitState` — but nothing is stored per node or
+    /// instruction).
+    fn with_sink<R>(&mut self, f: impl FnOnce(&mut Compiler, &mut dyn TraceSink) -> R) -> R {
         let mut trace = self.trace.take();
         let mut null = NullSink;
         let sink: &mut dyn TraceSink = match trace.as_mut() {
             Some(s) => s,
             None => &mut null,
         };
-        let result = self.compile_str_with(source, sink);
+        let result = f(self, sink);
         self.trace = trace;
         result
     }
 
-    fn compile_str_with(
-        &mut self,
-        source: &str,
-        sink: &mut dyn TraceSink,
-    ) -> Result<Vec<String>, CompileError> {
-        let pending = self.convert_str_with(source, sink)?;
-        let mut names = Vec::new();
-        for p in pending {
-            names.push(self.compile_function(p.inner, sink)?);
-        }
-        Ok(names)
-    }
-
-    /// Runs only the Preliminary phase — read + convert + `defvar`
-    /// recording — returning the converted functions without compiling
-    /// them.  Finish each one with [`Compiler::compile_pending`], or
-    /// skip it when a cache already holds its artifact.
+    /// Runs only the Preliminary phase — read, split, convert, and
+    /// record the unit's declarations — returning the converted
+    /// functions without compiling them.  Finish each one with
+    /// [`Compiler::compile_pending`], or skip it when a cache already
+    /// holds its artifact.
     ///
     /// # Errors
     ///
     /// Returns a [`CompileError`] for read or conversion failures.
     pub fn convert_str(&mut self, source: &str) -> Result<Vec<PendingFunction>, CompileError> {
-        let mut trace = self.trace.take();
-        let mut null = NullSink;
-        let sink: &mut dyn TraceSink = match trace.as_mut() {
-            Some(s) => s,
-            None => &mut null,
-        };
-        let result = self.convert_str_with(source, sink);
-        self.trace = trace;
-        result
+        self.with_sink(|c, sink| c.convert_str_with(source, sink))
     }
 
     /// Runs a converted function through the rest of the pipeline
@@ -277,15 +271,7 @@ impl Compiler {
     ///
     /// Returns a [`CompileError`] for code-generation failures.
     pub fn compile_pending(&mut self, pending: PendingFunction) -> Result<String, CompileError> {
-        let mut trace = self.trace.take();
-        let mut null = NullSink;
-        let sink: &mut dyn TraceSink = match trace.as_mut() {
-            Some(s) => s,
-            None => &mut null,
-        };
-        let result = self.compile_function(pending.inner, sink);
-        self.trace = trace;
-        result
+        self.with_sink(|c, sink| c.compile_function(pending.inner, sink))
     }
 
     /// Like [`Compiler::compile_pending`], but through an explicit
@@ -302,15 +288,7 @@ impl Compiler {
         pending: PendingFunction,
         pipeline: &Pipeline,
     ) -> Result<String, CompileError> {
-        let mut trace = self.trace.take();
-        let mut null = NullSink;
-        let sink: &mut dyn TraceSink = match trace.as_mut() {
-            Some(s) => s,
-            None => &mut null,
-        };
-        let result = self.run_unit(pending.inner, pipeline, sink);
-        self.trace = trace;
-        result
+        self.with_sink(|c, sink| c.run_unit(pending.inner, pipeline, sink))
     }
 
     fn convert_str_with(
@@ -320,25 +298,39 @@ impl Compiler {
     ) -> Result<Vec<PendingFunction>, CompileError> {
         let sp = sink.span_begin("Preliminary", "(read+convert)");
         let forms = read_all_str(source, &mut self.interner)?;
-        let mut fe = Frontend::new(&mut self.interner);
-        for s in &self.specials {
-            let sym = fe.interner.intern(s);
-            fe.proclaim_special(sym);
-        }
-        let fns = fe.convert_toplevel(&forms)?;
+        let fns = self.convert_unit(&TopLevel::split(&forms)?)?;
         if sink.enabled() {
             sink.add("toplevel_forms", forms.len() as u64);
             sink.add("functions", fns.len() as u64);
         }
         sink.span_end(sp);
-        for (name, init) in std::mem::take(&mut fe.defvar_inits) {
-            self.globals
-                .push((name.as_str().to_string(), Value::from_datum(&init)));
-        }
         Ok(fns
             .into_iter()
             .map(|inner| PendingFunction { inner })
             .collect())
+    }
+
+    /// Converts a split unit against every special proclaimed so far,
+    /// then keeps the unit's declarations: its specials for later
+    /// conversions, its `defvar` values as globals.
+    fn convert_unit(
+        &mut self,
+        unit: &TopLevel,
+    ) -> Result<Vec<s1lisp_frontend::Function>, CompileError> {
+        let mut fe = Frontend::new(&mut self.interner);
+        for s in &self.specials {
+            let sym = fe.interner.intern(s);
+            fe.proclaim_special(sym);
+        }
+        let fns = fe.convert_unit(unit)?;
+        for s in &unit.specials {
+            self.proclaim_special(s.as_str());
+        }
+        for d in &unit.defvars {
+            self.globals
+                .push((d.name.as_str().to_string(), Value::from_datum(&d.value)));
+        }
+        Ok(fns)
     }
 
     /// The per-function pass schedule this compiler's options build:
@@ -394,30 +386,24 @@ impl Compiler {
 
     /// Proclaims a variable special for subsequent compilations.
     pub fn proclaim_special(&mut self, name: &str) {
-        self.specials.push(name.to_string());
+        if !self.specials.iter().any(|s| s == name) {
+            self.specials.push(name.to_string());
+        }
     }
 
     /// Compiles and immediately evaluates expressions (REPL convenience):
     /// each non-`defun` form is wrapped in a nullary function, compiled
     /// with the current options, and run on a fresh machine that sees
-    /// everything compiled so far.  `defun`s define persistently; global
-    /// variable mutations do *not* persist across `eval` calls (each call
-    /// gets a fresh machine).
+    /// everything compiled so far.  `defun`s define and declarations
+    /// hold persistently; global variable mutations do *not* persist
+    /// across `eval` calls (each call gets a fresh machine).
     ///
     /// # Errors
     ///
     /// The outer `Result` carries compile-time failures; the inner one
     /// carries run-time traps.
     pub fn eval(&mut self, expr: &str) -> Result<Result<Value, Trap>, CompileError> {
-        let mut trace = self.trace.take();
-        let mut null = NullSink;
-        let sink: &mut dyn TraceSink = match trace.as_mut() {
-            Some(s) => s,
-            None => &mut null,
-        };
-        let result = self.eval_with(expr, sink);
-        self.trace = trace;
-        result
+        self.with_sink(|c, sink| c.eval_with(expr, sink))
     }
 
     fn eval_with(
@@ -427,52 +413,24 @@ impl Compiler {
     ) -> Result<Result<Value, Trap>, CompileError> {
         let sp = sink.span_begin("Preliminary", "(read+convert)");
         let forms = read_all_str(expr, &mut self.interner)?;
-        let mut fe = Frontend::new(&mut self.interner);
-        for s in &self.specials {
-            let sym = fe.interner.intern(s);
-            fe.proclaim_special(sym);
-        }
         self.eval_counter += 1;
-        let name = format!("%eval{}", self.eval_counter);
-        let mut last = Value::Nil;
-        let mut fns = Vec::new();
-        for (k, form) in forms.iter().enumerate() {
-            // defuns define; other forms evaluate.
-            let head = form.car().and_then(|h| h.as_symbol().cloned());
-            if matches!(
-                head.as_ref().map(|s| s.as_str()),
-                Some("defun" | "defvar" | "proclaim")
-            ) {
-                fns.extend(fe.convert_toplevel(std::slice::from_ref(form))?);
-            } else {
-                let fname = format!("{name}-{k}");
-                let f = fe.convert_expr(&fname, form)?;
-                fns.push(f);
-            }
-        }
+        let unit = TopLevel::split_eval(&forms, &format!("%eval{}", self.eval_counter))?;
+        let fns = self.convert_unit(&unit)?;
         if sink.enabled() {
             sink.add("toplevel_forms", forms.len() as u64);
             sink.add("functions", fns.len() as u64);
         }
         sink.span_end(sp);
-        let inits = std::mem::take(&mut fe.defvar_inits);
-        for (gname, init) in inits {
-            self.globals
-                .push((gname.as_str().to_string(), Value::from_datum(&init)));
-        }
-        let mut eval_names = Vec::new();
         for f in fns {
             // The same per-function pipeline as `compile_str`: eval'd
             // forms get spans, transcripts, tensioned branches, and
             // `explain` dossiers too.
-            let fname = self.compile_function(f, sink)?;
-            if fname.starts_with("%eval") {
-                eval_names.push(fname);
-            }
+            self.compile_function(f, sink)?;
         }
         let mut m = self.machine();
-        for fname in eval_names {
-            match m.run(&fname, &[]) {
+        let mut last = Value::Nil;
+        for form in unit.forms.iter().filter(|f| !f.defun) {
+            match m.run(&form.name, &[]) {
                 Ok(v) => last = v,
                 Err(t) => return Ok(Err(t)),
             }

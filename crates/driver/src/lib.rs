@@ -62,8 +62,8 @@ mod service;
 pub use cache::{ArtifactCache, CacheStats};
 pub use s1lisp::{BackendKind, FaultPlan, FaultSite, PipelineOptions};
 pub use service::{
-    unit_decls, BatchResult, BatchStats, CompileService, GuardReport, Incident, IncidentKind,
-    JobRecord, OracleVerdict, Outcome, WorkerStats,
+    BatchResult, BatchStats, CompileService, GuardReport, Incident, IncidentKind, JobRecord,
+    OracleVerdict, Outcome, WorkerStats,
 };
 
 use std::path::PathBuf;

@@ -12,12 +12,15 @@
 //! also why the cache key is sound: the fingerprint covers exactly the
 //! inputs the job can observe.
 //!
-//! One visible consequence: generated names (`or%3`, loop tags) restart
-//! per function instead of counting across a whole
-//! [`Compiler::compile_str`] unit, so service output can differ
-//! cosmetically from the classic serial path in multi-`defun` units.
-//! The pinned contract is jobs-invariance — `jobs = 1`, `2` and `8`
-//! byte-identical — not equality with `compile_str`.
+//! Units are split by the frontend's one top-level splitter
+//! ([`TopLevel::split`]), so a job sees exactly the specials a serial
+//! [`Compiler::compile_str`] of its unit would.  What can still differ
+//! from the serial path is gensym numbering in multi-`defun` units:
+//! generated names (`or%3`, loop tags) restart per job instead of
+//! counting across the unit.  Listings name callees and constants, never
+//! a per-program table index, so on the experiment corpus the two paths
+//! agree byte for byte (pinned by test); the contract the service
+//! promises is jobs-invariance — `jobs = 1`, `2` and `8` byte-identical.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,11 +28,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 use s1lisp::{
-    Artifact, BackendKind, CompileError, Compiler, FaultPlan, FaultSite, Machine, PendingFunction,
-    PipelineOptions, Value,
+    Artifact, BackendKind, CompileError, Compiler, FaultPlan, FaultSite, PendingFunction,
+    PipelineOptions, TopLevel, Value,
 };
 use s1lisp_ast::Fnv1a64;
-use s1lisp_reader::{read_all_str, read_str, Datum, Interner};
+use s1lisp_reader::{read_all_str, read_str, Interner, Symbol};
 use s1lisp_trace::json::Json;
 use s1lisp_trace::metrics::{Histogram, MetricsRegistry, TIME_BUCKETS_US};
 
@@ -289,6 +292,9 @@ pub struct BatchResult {
     /// `defvar` globals seen while splitting: (name, printed initial
     /// value).
     pub globals: Vec<(String, String)>,
+    /// Specials the split units proclaim or `defvar`, in declaration
+    /// order (repeats included).
+    pub specials: Vec<String>,
     /// Batch telemetry.
     pub stats: BatchStats,
     /// Guarded-compilation summary; `None` unless the batch ran with
@@ -316,41 +322,6 @@ impl BatchResult {
             out.push('\n');
         }
         out
-    }
-
-    /// Installs the batch's `defvar` globals into a machine, making a
-    /// batch-compiled program directly runnable like a serial
-    /// [`Compiler::machine`]: each printed initializer is re-read,
-    /// converted to a value (one `quote` level stripped, as `defvar`
-    /// does), and set as the global.  Returns the number installed.
-    ///
-    /// # Errors
-    ///
-    /// A string naming the global whose initializer failed to re-read
-    /// or install.
-    pub fn load_globals(&self, m: &mut Machine) -> Result<usize, String> {
-        let mut interner = Interner::new();
-        let mut installed = 0;
-        for (name, init) in &self.globals {
-            let datum = read_str(init, &mut interner).map_err(|e| format!("global {name}: {e}"))?;
-            let quoted = datum
-                .car()
-                .and_then(|h| h.as_symbol().cloned())
-                .is_some_and(|s| s.as_str() == "quote");
-            let datum = if quoted {
-                datum
-                    .cdr()
-                    .and_then(|d| d.car())
-                    .ok_or_else(|| format!("global {name}: malformed quote"))?
-            } else {
-                datum
-            };
-            let value = Value::from_datum(&datum);
-            m.set_global(name, &value)
-                .map_err(|t| format!("global {name}: {t}"))?;
-            installed += 1;
-        }
-        Ok(installed)
     }
 
     /// Cache hits as a percentage of functions, rounded down (100 ⇔
@@ -802,11 +773,6 @@ impl CompileService {
         &self.metrics
     }
 
-    /// Lifetime cache traffic (across every batch this service ran).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// Splits `units` into per-function jobs, fans them across the
     /// worker pool, and reassembles results in source order.  The cache
     /// is consulted per function and persists across calls, so
@@ -836,12 +802,14 @@ impl CompileService {
         let before = self.cache.stats();
         let mut jobs = Vec::new();
         let mut globals = Vec::new();
+        let mut specials = Vec::new();
         let mut failures = Vec::new();
         for unit in units {
             match split_unit(unit, jobs.len()) {
                 Ok(split) => {
                     jobs.extend(split.jobs);
                     globals.extend(split.globals);
+                    specials.extend(split.specials);
                 }
                 Err(e) => failures.push((format!("unit {}", unit.name), e)),
             }
@@ -939,6 +907,7 @@ impl CompileService {
             incidents,
             failures,
             globals,
+            specials,
             stats: BatchStats {
                 workers_used,
                 functions,
@@ -1197,111 +1166,40 @@ fn ship_reference(batch: &mut BatchResult, reference: &Compiler, entry: &str) ->
 struct SplitUnit {
     jobs: Vec<Job>,
     globals: Vec<(String, String)>,
-    /// Every special proclaimed (or `defvar`ed) anywhere in the unit,
-    /// in declaration order.
     specials: Vec<String>,
 }
 
-/// The declarations one unit contributes to a long-lived session: the
-/// specials it proclaims (or `defvar`s), in order, and its `defvar`
-/// globals as `(name, printed constant initializer)` pairs.
-pub type UnitDecls = (Vec<String>, Vec<(String, String)>);
-
-/// Extracts the [`UnitDecls`] of one unit.
-///
-/// This is the compile server's linking hook: after serving a tenant's
-/// unit, the tenant's namespace absorbs these so every *subsequent*
-/// request compiles against them — the load-link-on-demand shape, with
-/// exactly the dispatch rules of the batch splitter.
-///
-/// # Errors
-///
-/// A description of the first malformed or unsupported top-level form.
-pub fn unit_decls(source: &str) -> Result<UnitDecls, String> {
-    let unit = SourceUnit::new("decls", source);
-    let split = split_unit(&unit, 0)?;
-    Ok((split.specials, split.globals))
-}
-
-/// Splits one unit into hermetic jobs, mirroring the top-level dispatch
-/// of `Frontend::convert_toplevel`: `defun`s become jobs; `proclaim`ed
-/// and `defvar`ed names accumulate into the specials every *subsequent*
-/// job carries; `defvar` constant initializers are recorded as globals.
+/// Maps the frontend's split of one unit ([`TopLevel::split`]) onto
+/// hermetic jobs: each `defun` becomes a job carrying its printed form
+/// and the specials declared before it; the unit's specials and
+/// `defvar` initializers (printed as written) are reported alongside.
 fn split_unit(unit: &SourceUnit, first_seq: usize) -> Result<SplitUnit, String> {
     let mut interner = Interner::new();
     let forms = read_all_str(&unit.source, &mut interner).map_err(|e| e.to_string())?;
-    let mut specials: Vec<String> = Vec::new();
-    let mut jobs = Vec::new();
-    let mut globals = Vec::new();
-    for form in &forms {
-        let head = form.car().and_then(|h| h.as_symbol().cloned());
-        match head.as_ref().map(|s| s.as_str()) {
-            Some("defun") => {
-                let fn_name = form
-                    .cdr()
-                    .and_then(|d| d.car())
-                    .and_then(|d| d.as_symbol().cloned())
-                    .ok_or("malformed defun")?;
-                jobs.push(Job {
-                    seq: first_seq + jobs.len(),
-                    unit: unit.name.clone(),
-                    fn_name: fn_name.as_str().to_string(),
-                    form: form.to_string(),
-                    specials: specials.clone(),
-                    salt: 0,
-                    backend: BackendKind::default(),
-                });
-            }
-            Some("defvar") => {
-                let rest = form.cdr().unwrap_or(Datum::Nil);
-                let name = rest
-                    .car()
-                    .and_then(|d| d.as_symbol().cloned())
-                    .ok_or("malformed defvar")?;
-                specials.push(name.as_str().to_string());
-                if let Some(init) = rest.cdr().and_then(|d| d.car()) {
-                    let constant = init.is_self_evaluating()
-                        || init.is_nil()
-                        || init.as_symbol().is_some_and(|s| s.as_str() == "t")
-                        || init
-                            .car()
-                            .and_then(|h| h.as_symbol().cloned())
-                            .is_some_and(|s| s.as_str() == "quote");
-                    if !constant {
-                        return Err(format!("defvar initializer must be a constant: {form}"));
-                    }
-                    globals.push((name.as_str().to_string(), init.to_string()));
-                }
-            }
-            Some("proclaim") => {
-                let spec = form
-                    .cdr()
-                    .and_then(|d| d.car())
-                    .and_then(|d| d.cdr()?.car())
-                    .ok_or("malformed proclaim")?;
-                let items = spec.proper_list().ok_or("malformed proclaim")?;
-                if items
-                    .first()
-                    .and_then(|h| h.as_symbol().map(|s| s.as_str()))
-                    == Some("special")
-                {
-                    for s in &items[1..] {
-                        if let Some(sym) = s.as_symbol() {
-                            specials.push(sym.as_str().to_string());
-                        }
-                    }
-                }
-            }
-            _ => {
-                return Err(format!(
-                    "unsupported top-level form (want defun/defvar/proclaim): {form}"
-                ))
-            }
-        }
-    }
+    let split = TopLevel::split(&forms).map_err(|e| e.to_string())?;
+    let names = |syms: &[Symbol]| syms.iter().map(|s| s.as_str().to_string()).collect();
+    let jobs = split
+        .forms
+        .iter()
+        .enumerate()
+        .map(|(i, f)| Job {
+            seq: first_seq + i,
+            unit: unit.name.clone(),
+            fn_name: f.name.clone(),
+            form: f.form.to_string(),
+            specials: names(split.specials_before(f)),
+            salt: 0,
+            backend: BackendKind::default(),
+        })
+        .collect();
+    let globals = split
+        .defvars
+        .iter()
+        .map(|d| (d.name.as_str().to_string(), d.init.to_string()))
+        .collect();
     Ok(SplitUnit {
         jobs,
         globals,
-        specials,
+        specials: names(&split.specials),
     })
 }

@@ -7,6 +7,7 @@ use s1lisp_reader::{Datum, Interner, Symbol};
 
 use crate::error::ConvertError;
 use crate::macros;
+use crate::toplevel::TopLevel;
 
 /// A converted top-level function: a name and a tree whose root is a
 /// `lambda` node.
@@ -28,9 +29,6 @@ pub struct Frontend<'a> {
     /// The symbol interner for this compilation unit.
     pub interner: &'a mut Interner,
     specials: HashSet<Symbol>,
-    /// Constant initial values from `(defvar name init)` forms, in
-    /// order of appearance.
-    pub defvar_inits: Vec<(Symbol, Datum)>,
 }
 
 impl<'a> Frontend<'a> {
@@ -39,7 +37,6 @@ impl<'a> Frontend<'a> {
         Frontend {
             interner,
             specials: HashSet::new(),
-            defvar_inits: Vec::new(),
         }
     }
 
@@ -103,84 +100,40 @@ impl<'a> Frontend<'a> {
         Ok(Function { name, tree })
     }
 
-    /// Converts a sequence of top-level forms: `defun`s become functions;
-    /// `(proclaim '(special …))` and `(defvar name [init])` register
-    /// special variables.
+    /// Converts a sequence of top-level forms: [`TopLevel::split`], then
+    /// [`Frontend::convert_unit`].
     ///
     /// # Errors
     ///
     /// Returns a [`ConvertError`] on malformed source or unsupported
     /// top-level forms.
     pub fn convert_toplevel(&mut self, forms: &[Datum]) -> Result<Vec<Function>, ConvertError> {
-        let mut out = Vec::new();
-        for form in forms {
-            let head = form.car().and_then(|h| h.as_symbol().cloned());
-            match head.as_ref().map(|s| s.as_str()) {
-                Some("defun") => out.push(self.convert_defun(form)?),
-                Some("defvar") => {
-                    let rest = form.cdr().unwrap_or(Datum::Nil);
-                    let name = rest
-                        .car()
-                        .and_then(|d| d.as_symbol().cloned())
-                        .ok_or_else(|| ConvertError::new("malformed defvar", form))?;
-                    self.proclaim_special(name.clone());
-                    // Constant initializers are recorded; the dialect has
-                    // no load-time evaluation, so anything else is an
-                    // error rather than a silent drop.
-                    if let Some(init) = rest.cdr().and_then(|d| d.car()) {
-                        let constant = match &init {
-                            d if d.is_self_evaluating() || d.is_nil() => Some(init.clone()),
-                            Datum::Cons(c)
-                                if c.car()
-                                    .as_symbol()
-                                    .map(|s| s.as_str() == "quote")
-                                    .unwrap_or(false) =>
-                            {
-                                c.cdr().car()
-                            }
-                            Datum::Sym(s) if s.as_str() == "t" => Some(init.clone()),
-                            _ => None,
-                        };
-                        match constant {
-                            Some(v) => self.defvar_inits.push((name, v)),
-                            None => {
-                                return Err(ConvertError::new(
-                                    "defvar initializer must be a constant",
-                                    form,
-                                ))
-                            }
-                        }
-                    }
-                }
-                Some("proclaim") => {
-                    // (proclaim '(special a b c))
-                    let spec = form
-                        .cdr()
-                        .and_then(|d| d.car())
-                        .and_then(|d| d.cdr()?.car()) // strip quote
-                        .ok_or_else(|| ConvertError::new("malformed proclaim", form))?;
-                    let items = spec
-                        .proper_list()
-                        .ok_or_else(|| ConvertError::new("malformed proclaim", form))?;
-                    if items
-                        .first()
-                        .and_then(|h| h.as_symbol().map(|s| s.as_str()))
-                        == Some("special")
-                    {
-                        for s in &items[1..] {
-                            if let Some(sym) = s.as_symbol() {
-                                self.proclaim_special(sym.clone());
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    return Err(ConvertError::new(
-                        "unsupported top-level form (want defun/defvar/proclaim)",
-                        form,
-                    ))
-                }
+        self.convert_unit(&TopLevel::split(forms)?)
+    }
+
+    /// Converts a split unit's forms in order, each against the specials
+    /// declared before it, and leaves every special the unit declares
+    /// proclaimed for later conversions.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConvertError`] on malformed source.
+    pub fn convert_unit(&mut self, unit: &TopLevel) -> Result<Vec<Function>, ConvertError> {
+        let mut proclaimed = 0;
+        let mut out = Vec::with_capacity(unit.forms.len());
+        for form in &unit.forms {
+            for s in &unit.specials[proclaimed..form.specials_before] {
+                self.proclaim_special(s.clone());
             }
+            proclaimed = form.specials_before;
+            out.push(if form.defun {
+                self.convert_defun(&form.form)?
+            } else {
+                self.convert_expr(&form.name, &form.form)?
+            });
+        }
+        for s in &unit.specials[proclaimed..] {
+            self.proclaim_special(s.clone());
         }
         Ok(out)
     }
@@ -847,6 +800,42 @@ mod tests {
         let fns = fe.convert_toplevel(&forms).unwrap();
         assert_eq!(fns.len(), 2);
         assert_eq!(fns[0].name.as_str(), "f");
+    }
+
+    #[test]
+    fn split_counts_the_specials_before_each_form() {
+        let mut i = Interner::new();
+        let forms = s1lisp_reader::read_all_str(
+            "(defun g (cell) cell)
+             (proclaim '(special cell))
+             (defvar lst '(a b))
+             (defun h (cell) cell)",
+            &mut i,
+        )
+        .unwrap();
+        let unit = TopLevel::split(&forms).unwrap();
+        let names: Vec<&str> = unit.specials.iter().map(|s| s.as_str()).collect();
+        assert_eq!(names, ["cell", "lst"]);
+        assert_eq!(unit.specials_before(&unit.forms[0]).len(), 0);
+        assert_eq!(unit.specials_before(&unit.forms[1]).len(), 2);
+        let d = &unit.defvars[0];
+        assert_eq!(
+            (d.init.to_string(), d.value.to_string()),
+            ("'(a b)".into(), "(a b)".into())
+        );
+        // `g` binds `cell` lexically; `h` sees the proclaim before it.
+        let mut fe = Frontend::new(&mut i);
+        let fns = fe.convert_unit(&unit).unwrap();
+        let special = |f: &Function| f.tree.var_ids().any(|v| f.tree.var(v).special);
+        assert!(!special(&fns[0]) && special(&fns[1]));
+        assert!(TopLevel::split(&forms[..1]).is_ok());
+        assert!(TopLevel::split_eval(&forms, "%e").is_ok());
+        let expr = s1lisp_reader::read_all_str("(+ 1 2)", &mut i).unwrap();
+        assert!(TopLevel::split(&expr).is_err());
+        assert_eq!(
+            TopLevel::split_eval(&expr, "%e").unwrap().forms[0].name,
+            "%e-0"
+        );
     }
 
     #[test]

@@ -38,6 +38,8 @@
 mod convert;
 mod error;
 mod macros;
+mod toplevel;
 
 pub use convert::{Frontend, Function};
 pub use error::ConvertError;
+pub use toplevel::{Defvar, TopForm, TopLevel};

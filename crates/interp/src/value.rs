@@ -179,20 +179,6 @@ impl Value {
             _ => self.eql_p(other),
         }
     }
-
-    /// A short type name for error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Nil => "nil",
-            Value::Fixnum(_) => "fixnum",
-            Value::Flonum(_) => "flonum",
-            Value::Sym(_) => "symbol",
-            Value::Str(_) => "string",
-            Value::Char(_) => "character",
-            Value::Cons(_) => "cons",
-            Value::Func(_) => "function",
-        }
-    }
 }
 
 /// Structural equality (via [`Value::equal_p`]) — convenient for tests

@@ -34,11 +34,6 @@ impl Cons {
     pub fn set_car(&self, value: Datum) {
         *self.car.borrow_mut() = value;
     }
-
-    /// Replaces the cdr (`rplacd`).
-    pub fn set_cdr(&self, value: Datum) {
-        *self.cdr.borrow_mut() = value;
-    }
 }
 
 /// A Lisp datum: the external (source) representation of programs and data.
@@ -113,11 +108,6 @@ impl Datum {
     /// Whether this datum is an atom (anything but a cons).
     pub fn is_atom(&self) -> bool {
         !self.is_cons()
-    }
-
-    /// Whether this datum is a number (fixnum or flonum).
-    pub fn is_number(&self) -> bool {
-        matches!(self, Datum::Fixnum(_) | Datum::Flonum(_))
     }
 
     /// Whether this datum is "self-evaluating" in the dialect: numbers,

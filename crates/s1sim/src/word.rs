@@ -97,14 +97,6 @@ impl Word {
         }
     }
 
-    /// The raw integer, if this word is raw.
-    pub fn as_raw(self) -> Option<i64> {
-        match self {
-            Word::Raw(n) => Some(n),
-            _ => None,
-        }
-    }
-
     /// The raw float, if this word is one.
     pub fn as_float(self) -> Option<f64> {
         match self {

@@ -42,7 +42,7 @@ use std::time::Instant;
 
 use s1lisp::{BackendKind, Compiler, FaultSite, Value};
 use s1lisp_driver::{
-    unit_decls, BatchTuning, CompileService, IncidentKind, ServiceConfig, SourceUnit,
+    BatchResult, BatchTuning, CompileService, IncidentKind, ServiceConfig, SourceUnit,
 };
 use s1lisp_reader::{read_str, Interner};
 use s1lisp_trace::json;
@@ -136,22 +136,20 @@ impl CompileServer {
     /// against half-recovered state.
     pub fn new(config: ServerConfig) -> CompileServer {
         let service = CompileService::new(config.service.clone());
-        let metrics = Arc::clone(service.metrics());
-        let queue = AdmissionQueue::new(config.queue);
-        let registry = TenantRegistry::new();
-        if let Some(state_dir) = &config.state_dir {
-            recover_tenants(state_dir, &config, &service, &registry, &metrics);
+        let shared = Shared {
+            metrics: Arc::clone(service.metrics()),
+            queue: AdmissionQueue::new(config.queue),
+            registry: TenantRegistry::new(),
+            config,
+            service,
+            shutdown: AtomicBool::new(false),
+            port: AtomicU16::new(0),
+        };
+        if let Some(state_dir) = &shared.config.state_dir {
+            recover_tenants(&shared, state_dir);
         }
         CompileServer {
-            shared: Arc::new(Shared {
-                config,
-                service,
-                registry,
-                queue,
-                metrics,
-                shutdown: AtomicBool::new(false),
-                port: AtomicU16::new(0),
-            }),
+            shared: Arc::new(shared),
         }
     }
 
@@ -278,12 +276,6 @@ impl ServerHandle {
     /// the acceptor, and lets workers drain.
     pub fn shutdown(&self) {
         initiate_shutdown(&self.shared);
-    }
-
-    /// Renders the server's metrics registry (service and server
-    /// families together).
-    pub fn render_metrics(&self) -> String {
-        self.metrics_snapshot().render()
     }
 
     /// A point-in-time snapshot of the shared registry — the isolation
@@ -590,38 +582,8 @@ fn process(shared: &Shared, work: &Work) -> Response {
 }
 
 fn serve_compile(shared: &Shared, work: &Work, unit: &str, source: &str, resp: &mut Response) {
-    // Snapshot the namespace under the lock, but compile outside it:
-    // the batch service may fan out to its own workers, and a tenant's
-    // single-in-flight guarantee already serializes its requests.
-    let (tenant_name, specials, tuning) = {
-        let st = work.tenant.lock().expect("tenant poisoned");
-        (
-            st.name.clone(),
-            st.specials.clone(),
-            BatchTuning {
-                key_salt: st.fingerprint,
-                transformations_off: st.degraded,
-            },
-        )
-    };
-    resp.tenant = tenant_name;
-    // The tenant's accumulated specials precede the unit, so free
-    // references in this unit see every `proclaim` the tenant has made
-    // — the namespace semantics a resident compiler would give it.  A
-    // fresh tenant gets no prefix: its artifacts are byte-identical to
-    // a plain `compile_batch` of the same unit (pinned by test).
-    let full_source = if specials.is_empty() {
-        source.to_string()
-    } else {
-        format!(
-            "(proclaim (quote (special {})))\n{source}",
-            specials.join(" ")
-        )
-    };
-    let units = [SourceUnit::new(unit, full_source)];
-    let compile_start = Instant::now();
-    let batch = shared.service.compile_batch_with(&units, tuning);
-    resp.slo.compile_us = elapsed_us(compile_start);
+    let done = compile_into_tenant(shared, &work.tenant, unit, source);
+    let batch = done.batch;
     let incidents: Vec<WireIncident> = batch
         .incidents
         .iter()
@@ -631,49 +593,104 @@ fn serve_compile(shared: &Shared, work: &Work, unit: &str, source: &str, resp: &
             recovered: i.recovered,
         })
         .collect();
-    let any_degraded_artifact = batch.artifacts.iter().any(|a| a.degraded);
-    let (tenant_degraded, durable) = {
-        let mut st = work.tenant.lock().expect("tenant poisoned");
-        // Absorb the unit's own declarations (from the *raw* source:
-        // the prefix is the tenant's existing state, not news).
-        if let Ok((specials, globals)) = unit_decls(source) {
-            for s in specials {
-                st.absorb_special(&s);
-            }
-            st.globals.extend(globals);
-        }
-        let mut durable = false;
-        if batch.failures.is_empty() {
-            st.sources.push(source.to_string());
-            // The mutation's journal record is fsynced here, before the
-            // worker can frame the success response — the heart of the
-            // durability contract.
-            let journal_start = Instant::now();
-            durable = journal_mutation(shared, &mut st, unit, source);
-            resp.slo.journal_us = elapsed_us(journal_start);
-        }
-        for a in &batch.artifacts {
-            st.artifacts.insert(a.name.clone(), a.clone());
-        }
-        st.incidents += incidents.len() as u64;
-        if st.incidents >= shared.config.incident_budget {
-            st.degraded = true;
-        }
-        (st.degraded, durable)
-    };
-    resp.durable = durable;
+    resp.tenant = done.tenant;
+    resp.durable = done.durable;
+    resp.slo.compile_us = done.compile_us;
+    resp.slo.journal_us = done.journal_us;
     resp.ok = batch.failures.is_empty();
     resp.error = batch
         .failures
         .first()
         .map(|(scope, e)| format!("{scope}: {e}"));
-    resp.slo.degraded = tenant_degraded || tuning.transformations_off || any_degraded_artifact;
+    resp.slo.degraded = done.degraded || batch.artifacts.iter().any(|a| a.degraded);
     resp.slo.incident_kind = incidents.first().map(|i| i.kind.clone());
     resp.body = Body::Compile {
         artifacts: batch.artifacts,
         incidents,
         failures: batch.failures,
     };
+}
+
+/// One unit compiled into a tenant's state.
+struct TenantCompile {
+    tenant: String,
+    batch: BatchResult,
+    /// The unit compiled demoted, or the tenant is degraded after it.
+    degraded: bool,
+    /// The unit's journal record reached stable storage.
+    durable: bool,
+    compile_us: u64,
+    journal_us: u64,
+}
+
+/// The one path from a unit to tenant state, for live compiles and
+/// recovery alike.
+///
+/// The unit compiles outside the tenant lock (the batch service may fan
+/// out to its own workers; a tenant's single-in-flight guarantee already
+/// serializes its requests) in the tenant's namespace: its specials
+/// proclaimed ahead of the unit, its cache-key salt, and its demotion.
+/// A fresh tenant gets no prefix, so its artifacts are byte-identical to
+/// a plain `compile_batch` of the unit (pinned by test).
+///
+/// Then, under the lock, the result folds in: the specials and globals
+/// the batch split (the prefix's specials are already known), the
+/// artifacts that compiled, the incidents against the budget, and — for
+/// a clean unit — the source log entry and its journal record, fsynced
+/// before the caller can frame a reply.  A tenant with no journal
+/// attached (memory-only, or still recovering) skips the journal.
+fn compile_into_tenant(
+    shared: &Shared,
+    tenant: &Mutex<TenantState>,
+    unit: &str,
+    source: &str,
+) -> TenantCompile {
+    let (name, specials, tuning) = {
+        let st = tenant.lock().expect("tenant poisoned");
+        let tuning = BatchTuning {
+            key_salt: st.fingerprint,
+            transformations_off: st.degraded,
+        };
+        (st.name.clone(), st.specials.join(" "), tuning)
+    };
+    let full_source = if specials.is_empty() {
+        source.to_string()
+    } else {
+        format!("(proclaim (quote (special {specials})))\n{source}")
+    };
+    let compile_start = Instant::now();
+    let batch = shared
+        .service
+        .compile_batch_with(&[SourceUnit::new(unit, full_source)], tuning);
+    let compile_us = elapsed_us(compile_start);
+
+    let mut st = tenant.lock().expect("tenant poisoned");
+    for s in &batch.specials {
+        st.absorb_special(s);
+    }
+    st.globals.extend(batch.globals.iter().cloned());
+    for a in &batch.artifacts {
+        st.artifacts.insert(a.name.clone(), a.clone());
+    }
+    st.incidents += batch.incidents.len() as u64;
+    if st.incidents >= shared.config.incident_budget {
+        st.degraded = true;
+    }
+    let (mut durable, mut journal_us) = (false, 0);
+    if batch.failures.is_empty() {
+        st.sources.push(source.to_string());
+        let journal_start = Instant::now();
+        durable = journal_mutation(shared, &mut st, unit, source);
+        journal_us = elapsed_us(journal_start);
+    }
+    TenantCompile {
+        tenant: name,
+        degraded: st.degraded || tuning.transformations_off,
+        batch,
+        durable,
+        compile_us,
+        journal_us,
+    }
 }
 
 fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &mut Response) {
@@ -700,8 +717,10 @@ fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &
     // Rebuild the tenant's world in a fresh compiler (a `Compiler`
     // holds `Rc`s and cannot live across worker threads): replaying
     // the compiled sources in order reconstructs specials, globals,
-    // and functions exactly, under the options its compiles ran with —
-    // transformations off once the tenant is demoted.  The replay runs
+    // and functions exactly — each unit compiles against the specials
+    // of the units before it, as when it was served — under the options
+    // its compiles ran with: transformations off once the tenant is
+    // demoted.  The replay runs
     // on the simulator, so it always targets the S-1 backend.
     let replay_start = Instant::now();
     let mut options = shared.config.service.options.clone().unguarded();
@@ -836,13 +855,7 @@ fn snapshot_tenant(metrics: &MetricsRegistry, st: &mut TenantState) -> bool {
 
 /// Recovers every tenant directory under `state_dir`, in sorted order
 /// so recovery work (and its metrics) replays deterministically.
-fn recover_tenants(
-    state_dir: &Path,
-    config: &ServerConfig,
-    service: &CompileService,
-    registry: &TenantRegistry,
-    metrics: &MetricsRegistry,
-) {
+fn recover_tenants(shared: &Shared, state_dir: &Path) {
     let _ = std::fs::create_dir_all(state_dir);
     let Ok(listing) = std::fs::read_dir(state_dir) else {
         return;
@@ -854,24 +867,18 @@ fn recover_tenants(
         .collect();
     dirs.sort();
     for dir in dirs {
-        recover_one(&dir, state_dir, config, service, registry, metrics);
+        recover_one(shared, &dir, state_dir);
     }
 }
 
 /// Recovers one tenant directory: snapshot load, journal-tail replay
-/// through the same batch service a live `compile` uses (so recovered
-/// artifacts are byte-identical), then a compacting snapshot.  Torn
-/// tails are dropped and counted; mid-log corruption or an unreadable
-/// snapshot quarantines the tenant.
-fn recover_one(
-    dir: &Path,
-    state_dir: &Path,
-    config: &ServerConfig,
-    service: &CompileService,
-    registry: &TenantRegistry,
-    metrics: &MetricsRegistry,
-) {
-    let plan = config.service.options.fault_plan.clone();
+/// through the same [`compile_into_tenant`] a live `compile` uses (so
+/// recovered state and artifacts are the live ones), then a compacting
+/// snapshot.  Torn tails are dropped and counted; mid-log corruption or
+/// an unreadable snapshot quarantines the tenant.
+fn recover_one(shared: &Shared, dir: &Path, state_dir: &Path) {
+    let metrics = &shared.metrics;
+    let plan = shared.config.service.options.fault_plan.clone();
     let snapshot = std::fs::read_to_string(dir.join("snapshot.json"))
         .ok()
         .and_then(|text| json::parse(&text).ok())
@@ -883,7 +890,7 @@ fn recover_one(
         // without one the directory is inert and left untouched.
         let scan = scan_journal(&journal_bytes, 0, |_| false);
         match scan.records.first().map(|r| r.tenant.clone()) {
-            Some(name) => quarantine_tenant(dir, &name, config, registry, metrics),
+            Some(name) => quarantine_tenant(shared, dir, &name),
             None => {
                 metrics.counter("server.recovery.skipped").inc();
             }
@@ -897,7 +904,7 @@ fn recover_one(
     });
     if scan.corrupt {
         metrics.counter("server.recovery.corrupt_journals").inc();
-        quarantine_tenant(dir, &snap.tenant, config, registry, metrics);
+        quarantine_tenant(shared, dir, &snap.tenant);
         return;
     }
     if scan.torn_tail {
@@ -919,49 +926,22 @@ fn recover_one(
     for a in &snap.artifacts {
         st.artifacts.insert(a.name.clone(), a.clone());
     }
-    // Replay the tail exactly as serve_compile would have: specials
-    // prefix from the state *before* this record, then absorb its
-    // declarations.
+    // The journal is attached only after the replay, so replayed
+    // records are not journaled a second time.
+    let tenant = Mutex::new(st);
     let mut last_seq = snap.applied_seq;
     for rec in &scan.records {
         last_seq = rec.seq;
-        let full_source = if st.specials.is_empty() {
-            rec.source.clone()
+        let done = compile_into_tenant(shared, &tenant, &rec.unit, &rec.source);
+        if done.batch.failures.is_empty() {
+            metrics.counter("server.recovery.replayed_records").inc();
         } else {
-            format!(
-                "(proclaim (quote (special {})))\n{}",
-                st.specials.join(" "),
-                rec.source
-            )
-        };
-        let units = [SourceUnit::new(&rec.unit, full_source)];
-        let tuning = BatchTuning {
-            key_salt: fp,
-            transformations_off: st.degraded,
-        };
-        let batch = service.compile_batch_with(&units, tuning);
-        if let Ok((specials, globals)) = unit_decls(&rec.source) {
-            for s in specials {
-                st.absorb_special(&s);
-            }
-            st.globals.extend(globals);
-        }
-        if !batch.failures.is_empty() {
             // The record was acknowledged, so this should not happen
             // outside a fault storm; count it and keep the rest.
             metrics.counter("server.recovery.replay_failures").inc();
-            continue;
         }
-        st.sources.push(rec.source.clone());
-        for a in batch.artifacts {
-            st.artifacts.insert(a.name.clone(), a);
-        }
-        st.incidents += batch.incidents.len() as u64;
-        if st.incidents >= config.incident_budget {
-            st.degraded = true;
-        }
-        metrics.counter("server.recovery.replayed_records").inc();
     }
+    let mut st = tenant.into_inner().expect("tenant poisoned");
     // Re-attach the journal and compact what was just replayed into a
     // fresh snapshot, so the next crash recovers from here.
     match TenantJournal::open(state_dir, fp, plan) {
@@ -975,20 +955,15 @@ fn recover_one(
         }
     }
     metrics.counter("server.recovery.tenants").inc();
-    registry.install(st);
+    shared.registry.install(st);
 }
 
 /// Quarantines a tenant whose durable state cannot be trusted: the
 /// evidence files are renamed aside (never deleted), the tenant
 /// restarts as a fresh namespace with one `recovery` incident on its
 /// ledger, and its next response carries `incident_kind = "recovery"`.
-fn quarantine_tenant(
-    dir: &Path,
-    name: &str,
-    config: &ServerConfig,
-    registry: &TenantRegistry,
-    metrics: &MetricsRegistry,
-) {
+fn quarantine_tenant(shared: &Shared, dir: &Path, name: &str) {
+    let metrics = &shared.metrics;
     for file in ["journal.log", "snapshot.json"] {
         let src = dir.join(file);
         if !src.exists() {
@@ -1010,7 +985,7 @@ fn quarantine_tenant(
         ..TenantState::default()
     };
     if let Some(state_dir) = dir.parent() {
-        let plan = config.service.options.fault_plan.clone();
+        let plan = shared.config.service.options.fault_plan.clone();
         if let Ok(journal) = TenantJournal::open(state_dir, st.fingerprint, plan) {
             st.journal = Some(journal);
             snapshot_tenant(metrics, &mut st);
@@ -1018,5 +993,5 @@ fn quarantine_tenant(
     }
     metrics.counter("server.recovery.quarantined").inc();
     metrics.counter("server.recovery.tenants").inc();
-    registry.install(st);
+    shared.registry.install(st);
 }

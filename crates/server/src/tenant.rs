@@ -14,13 +14,25 @@
 //!   across tenants, no timing side-channel on another tenant's
 //!   artifacts.
 //!
+//! One server function turns a unit into tenant state, for live
+//! `compile` requests and journal recovery alike: it compiles the unit
+//! in the namespace (specials prefix, salt, demotion) and folds the
+//! batch into the state — the specials and globals the batch split, the
+//! artifacts that compiled, the incidents against the budget, and, for
+//! a clean unit, the source log and its journal record.
+//!
 //! The per-tenant [`Compiler`](s1lisp::Compiler) is **not** kept alive
 //! between requests — `Compiler` is not `Send` (its program holds
 //! `Rc`s), and requests for one tenant may serve on different worker
 //! threads.  Instead the state keeps the tenant's compiled sources in
 //! order and replays them into a fresh compiler when a `run` request
-//! needs a live machine; compilation itself goes through the batch
-//! service's hermetic jobs and needs no resident compiler at all.
+//! needs a live machine.  A compiler keeps every unit's declarations
+//! for the units after it, so the replay compiles each unit against the
+//! specials the tenant had when it was served, as the served code was
+//! (generated-name numbering in multi-`defun` units can still differ).
+//! Compilation itself goes through
+//! the batch service's hermetic jobs and needs no resident compiler at
+//! all.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

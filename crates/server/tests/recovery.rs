@@ -427,6 +427,33 @@ fn snapshots_compact_the_journal_and_sync_forces_one() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A snapshot that an append triggers already holds the appended unit's
+/// artifacts: recovering from it alone (the journal it absorbed is
+/// empty) restores every function the tenant was served.
+#[test]
+fn periodic_snapshots_hold_the_unit_that_triggered_them() {
+    let dir = state_dir("snapshot-artifacts");
+    let mut config = durable_config(&dir);
+    config.snapshot_every = 1;
+    let handle = start(config);
+    let mut client = connect(&handle);
+    assert!(client.hello("alice", None).unwrap().ok);
+    for i in 0..2 {
+        let resp = client.compile(&format!("u{i}"), &unit_source(i)).unwrap();
+        assert!(resp.ok && resp.durable, "{:?}", resp.error);
+    }
+    handle.shutdown();
+    handle.join();
+    let recovered = CompileServer::new(durable_config(&dir));
+    let alice = recovered.tenant("alice").expect("alice recovered");
+    let st = alice.lock().unwrap();
+    let mut names: Vec<&str> = st.artifacts.keys().map(String::as_str).collect();
+    names.sort_unstable();
+    assert_eq!(names, ["f0", "f1"]);
+    drop(st);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn memory_only_servers_never_claim_durability() {
     let handle = start(ServerConfig::default());

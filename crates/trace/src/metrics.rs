@@ -329,25 +329,6 @@ impl MetricsSnapshot {
             .map(|(_, h)| h)
     }
 
-    /// Inserts (or overwrites) a counter, keeping name order.
-    pub fn set_counter(&mut self, name: &str, value: u64) {
-        match self
-            .counters
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-        {
-            Ok(i) => self.counters[i].1 = value,
-            Err(i) => self.counters.insert(i, (name.to_string(), value)),
-        }
-    }
-
-    /// Inserts (or overwrites) a gauge, keeping name order.
-    pub fn set_gauge(&mut self, name: &str, value: i64) {
-        match self.gauges.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-            Ok(i) => self.gauges[i].1 = value,
-            Err(i) => self.gauges.insert(i, (name.to_string(), value)),
-        }
-    }
-
     /// Zeroes every host-time metric (see [`is_time_metric`]): counters
     /// and gauges to 0, histograms to empty (bucket structure kept).
     /// What remains is a pure function of workload, seed, and options —

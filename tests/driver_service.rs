@@ -11,10 +11,14 @@
 //!   downstream phase);
 //! * an injected pipeline panic (or pass-budget overrun) degrades
 //!   exactly the targeted function — recorded as an `Incident` — while every
-//!   other artifact matches the clean run byte for byte.
+//!   other artifact matches the clean run byte for byte;
+//! * the serial `Compiler` reads a unit's declarations as the batch
+//!   splitter does, keeps them for later units, and emits the same
+//!   listings and dossiers as the batch on the whole corpus.
 
 use std::time::Duration;
 
+use s1lisp::Compiler;
 use s1lisp_bench::service_units;
 use s1lisp_driver::{
     BatchResult, CompileService, FaultPlan, FaultSite, IncidentKind, Outcome, PipelineOptions,
@@ -358,4 +362,65 @@ fn split_preserves_unit_level_specials_ordering() {
     let after = batch.artifact("after").unwrap();
     assert!(!before.assembly.contains("%SPEC"), "{}", before.assembly);
     assert!(after.assembly.contains("%SPEC"), "{}", after.assembly);
+}
+
+/// A proclaim holds for everything compiled after it, across calls, and
+/// the serial compiler reads a unit's declarations the same way the
+/// batch splitter does.
+#[test]
+fn proclaims_persist_across_calls_and_order_like_the_batch() {
+    const G: &str = "(defun g () (let ((cell 10)) (f)))";
+    let mut evaled = Compiler::new();
+    evaled.eval("(proclaim '(special cell))").unwrap().unwrap();
+    evaled.eval(G).unwrap().unwrap();
+    let listing = evaled.disassemble("g").unwrap();
+    assert!(
+        listing.contains("%SPECBIND"),
+        "eval forgot the proclaim:\n{listing}"
+    );
+
+    let mut compiled = Compiler::new();
+    compiled.compile_str("(proclaim '(special cell))").unwrap();
+    compiled.compile_str(G).unwrap();
+    let listing = compiled.disassemble("g").unwrap();
+    assert!(
+        listing.contains("%SPECBIND"),
+        "compile_str forgot the proclaim:\n{listing}"
+    );
+
+    // Within a unit, a defun sees only the proclaims before it.
+    let src = "(defun g () (let ((cell 10)) (f)))
+               (proclaim '(special cell))
+               (defun h () (let ((cell 10)) (f)))";
+    let mut serial = Compiler::new();
+    serial.compile_str(src).unwrap();
+    let batch = CompileService::new(ServiceConfig::with_jobs(2))
+        .compile_batch(&[SourceUnit::new("u", src)]);
+    assert!(batch.failures.is_empty(), "{:?}", batch.failures);
+    assert_eq!(batch.specials, ["cell"]);
+    for (name, special) in [("g", false), ("h", true)] {
+        let listing = serial.disassemble(name).unwrap();
+        assert_eq!(listing, batch.artifact(name).unwrap().assembly, "{name}");
+        assert_eq!(listing.contains("%SPECBIND"), special, "{name}:\n{listing}");
+    }
+}
+
+/// The serial compiler and the batch service emit the same listing and
+/// dossier for every corpus function: listings name callees and
+/// constants, never a per-program table index.
+#[test]
+fn compile_str_and_compile_batch_agree_on_the_corpus() {
+    let (_, batch) = corpus_batch(2);
+    let mut compared = 0;
+    for unit in service_units() {
+        let mut c = Compiler::new();
+        c.enable_trace();
+        for name in c.compile_str(&unit.source).unwrap() {
+            let (serial, batched) = (c.artifact(&name).unwrap(), batch.artifact(&name).unwrap());
+            assert_eq!(serial.assembly, batched.assembly, "{name}");
+            assert_eq!(serial.dossier, batched.dossier, "{name}");
+            compared += 1;
+        }
+    }
+    assert_eq!(compared, 23);
 }

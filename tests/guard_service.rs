@@ -12,9 +12,7 @@
 //! * an injected miscompile is caught by the oracle, which ships the
 //!   transformations-off reference artifact marked degraded;
 //! * each (backend, guard) configuration gets the oracle sides it
-//!   implies, agreeing when clean and each disagreeing when perturbed;
-//! * `BatchResult::load_globals` makes a batch directly runnable on a
-//!   machine, `defvar` initializers included.
+//!   implies, agreeing when clean and each disagreeing when perturbed.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -22,7 +20,7 @@ use std::time::Duration;
 use s1lisp_bench::{oracle_cases, service_units};
 use s1lisp_driver::{
     BackendSelect, BatchResult, CompileService, FaultPlan, FaultSite, IncidentKind, OracleCase,
-    Outcome, PipelineOptions, ServiceConfig, SourceUnit,
+    Outcome, PipelineOptions, ServiceConfig,
 };
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -295,48 +293,4 @@ fn oracle_sides_follow_the_configuration() {
             }
         }
     }
-}
-
-#[test]
-fn load_globals_makes_a_batch_runnable() {
-    use s1lisp::{Compiler, Machine, Value};
-
-    let src = "(defvar *step* 2)
-               (defvar *names* '(a b))
-               (defun accumulate (n)
-                 (prog ((i 0) (acc 0))
-                  top (cond ((not (< i n)) (return acc)))
-                  (setq acc (+ acc *step*))
-                  (setq i (+ i 1))
-                  (go top)))";
-    let batch = CompileService::new(ServiceConfig::with_jobs(1))
-        .compile_batch(&[SourceUnit::new("globals", src)]);
-    assert!(batch.failures.is_empty(), "{:?}", batch.failures);
-    assert_eq!(batch.globals.len(), 2);
-
-    // A program compiled elsewhere (same functions, no defvar values):
-    // without the batch's globals the special is unbound; with them the
-    // batch is directly runnable.
-    let mut c = Compiler::new();
-    c.proclaim_special("*step*");
-    c.proclaim_special("*names*");
-    c.compile_str(
-        "(defun accumulate (n)
-           (prog ((i 0) (acc 0))
-            top (cond ((not (< i n)) (return acc)))
-            (setq acc (+ acc *step*))
-            (setq i (+ i 1))
-            (go top)))",
-    )
-    .unwrap();
-    let mut bare = Machine::new(c.program().clone());
-    assert!(bare.run("accumulate", &[Value::Fixnum(3)]).is_err());
-
-    let mut loaded = Machine::new(c.program().clone());
-    let installed = batch.load_globals(&mut loaded).expect("globals install");
-    assert_eq!(installed, 2);
-    assert_eq!(
-        loaded.run("accumulate", &[Value::Fixnum(3)]).unwrap(),
-        Value::Fixnum(6)
-    );
 }

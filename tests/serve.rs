@@ -141,6 +141,34 @@ fn conflicting_specials_isolate_tenant_namespaces() {
     handle.join();
 }
 
+/// `run` executes the code the tenant was served.  `g` was compiled
+/// after `(defvar cell 5)`, so its `let` deep-binds `cell` and `f`
+/// sees 10; a run that forgot the tenant's specials between units would
+/// bind `cell` lexically and answer 5.
+#[test]
+fn run_answers_with_the_code_that_was_served() {
+    let handle = start(ServerConfig::default());
+    let mut client = connect(&handle);
+    assert!(client.hello("cells", None).unwrap().ok);
+    for (unit, source) in [
+        ("decl", "(defvar cell 5)"),
+        ("f", "(defun f () cell)"),
+        ("g", "(defun g () (let ((cell 10)) (f)))"),
+    ] {
+        let resp = client.compile(unit, source).unwrap();
+        assert!(resp.ok, "{unit}: {:?}", resp.error);
+    }
+    let served = client.explain("g").unwrap();
+    let Body::Explain { dossier } = &served.body else {
+        panic!("explain body expected: {served:?}");
+    };
+    assert!(dossier.contains("(%SPECBIND cell"), "{dossier}");
+    let ran = client.run("g", &[]).unwrap();
+    assert_eq!(ran.body, Body::Run { value: "10".into() });
+    handle.shutdown();
+    handle.join();
+}
+
 /// Tenants never warm-hit each other's cache entries: recompiling the
 /// same source as the same tenant hits, compiling it as another tenant
 /// does not — while still producing byte-identical artifacts.
